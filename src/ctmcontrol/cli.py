@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 import numpy as np
 
-from .errors import ControlError, NoConvergence, ProblemFileError, ZeroVariance
+from .errors import ControlError, ProblemFileError, ZeroVariance
 from .finite_horizon import Problem, extract_policy, solve_finite_horizon
-from .ode import integrate_grid
 from .problem_io import SolverOptions, format_number, parse_problem_file
 from .simulate import estimate_value_gap, simulate
 from .stationary import (
+    DISCOUNT_LADDER,
+    MIN_T_MAX,
+    limit_deviation_offset,
     solve_ergodic_direct,
     solve_ergodic_vanishing_discount,
 )
@@ -37,8 +38,6 @@ EXIT_SOLVER = 3
 EXIT_DISAGREEMENT = 4
 EXIT_STATISTICAL = 5
 EXIT_ASYMPTOTICS = 6
-
-_DISCOUNT_LADDER = tuple(2.0 ** -n for n in range(3, 21))
 
 
 def _fail(code: int, message: str) -> int:
@@ -84,6 +83,13 @@ def _load(path: str) -> tuple[Problem, SolverOptions]:
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     return parse_problem_file(text)
+
+
+def _require_window(opts: SolverOptions) -> None:
+    """The long-time integrations need t_max of at least MIN_T_MAX."""
+    if opts.t_max < MIN_T_MAX:
+        raise ProblemFileError(
+            f"solver t_max {opts.t_max!r} is below the long-time minimum {MIN_T_MAX!r}")
 
 
 def _csv(header: list[str], rows) -> str:
@@ -136,10 +142,12 @@ def cmd_policy(args) -> int:
 
 def _ergodic_payload(model, opts: SolverOptions, method: str):
     """Run the requested ergodic route(s); returns (payload, exit_code)."""
-    ladder = tuple(r for r in _DISCOUNT_LADDER if r >= opts.r_min * (1.0 - 1e-12))
+    ladder = tuple(r for r in DISCOUNT_LADDER if r >= opts.r_min * (1.0 - 1e-12))
     if method in ("vanishing", "both") and len(ladder) < 2:
         raise ProblemFileError(
             f"solver r_min {opts.r_min} leaves fewer than two discounts in the sweep")
+    if method in ("direct", "both"):
+        _require_window(opts)
     if method == "vanishing":
         sol = solve_ergodic_vanishing_discount(model, ladder)
     elif method == "direct":
@@ -214,22 +222,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _limit_deviation_offset(model, gamma, xi, payoff, t_max: float):
-    """q-limit of the de-drifted flow started from the terminal payoff."""
-    def rhs(_t, z):
-        return model.hamiltonian_vector(z) - gamma
-
-    grid = np.linspace(0.0, t_max, max(256, math.ceil(8.0 * t_max)) + 1)
-    rows, _ = integrate_grid(rhs, grid, np.asarray(payoff, dtype=float), 1e-10, 1e-12)
-    q = np.max(rows - xi, axis=1)
-    mid = int(np.searchsorted(grid, 0.5 * t_max))
-    if abs(q[-1] - q[mid]) >= 1e-6:
-        raise NoConvergence(
-            f"deviation offset not stabilized over [0, {t_max}]: "
-            f"q moved {abs(q[-1] - q[mid]):.3e} in the tail")
-    return float(q[-1])
-
-
 def cmd_asymptotics(args) -> int:
     try:
         horizons = [float(tok) for tok in args.horizons.split(",") if tok.strip()]
@@ -241,6 +233,7 @@ def cmd_asymptotics(args) -> int:
         return _fail(EXIT_INPUT, "--horizons must be strictly increasing")
     try:
         problem, opts = _load(args.problem)
+        _require_window(opts)
     except ProblemFileError as exc:
         return _fail(EXIT_INPUT, str(exc))
     # the expansion describes the undiscounted flow; discount is forced to 0
@@ -249,8 +242,8 @@ def cmd_asymptotics(args) -> int:
     rtol, atol = min(opts.rtol, 1e-10), min(opts.atol, 1e-12)
     try:
         sol = solve_ergodic_direct(model, opts.t_max)
-        q_inf = _limit_deviation_offset(model, sol.gamma, sol.xi,
-                                        problem.terminal_payoff, opts.t_max)
+        q_inf = limit_deviation_offset(model, sol.gamma, sol.xi,
+                                       problem.terminal_payoff, opts.t_max)
         deviations = []
         for horizon in horizons:
             pT = dataclasses.replace(problem, horizon=horizon)

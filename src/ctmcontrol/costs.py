@@ -21,6 +21,7 @@ flag records for the model as a whole.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -41,7 +42,7 @@ class CostFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class EdgeCost:
-    """Running-cost description of a single edge."""
+    """Running-cost description of a single edge, evaluated by CostModel."""
 
     family: CostFamily
     scale: float
@@ -52,42 +53,6 @@ class EdgeCost:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if not math.isfinite(self.shift):
             raise ValueError(f"shift must be finite, got {self.shift}")
-
-    def value(self, lam: float) -> float:
-        """l(lam) for a single intensity, with l(0) = 0 for both families."""
-        if lam < 0.0:
-            raise NegativeIntensity(f"intensity {lam} is negative")
-        if self.family is CostFamily.ENTROPIC:
-            if lam == 0.0:
-                return 0.0
-            return lam * (math.log(lam / self.scale) - 1.0) - self.shift * lam
-        return lam * lam / (2.0 * self.scale) - self.shift * lam
-
-    def conjugate(self, p: float) -> float:
-        """h(p) = sup_{lam >= 0} lam * p - l(lam)."""
-        q = p + self.shift
-        if self.family is CostFamily.ENTROPIC:
-            if q > _EXP_LIMIT:
-                raise NumericOverflow(f"exp({q}) overflows in entropic conjugate")
-            return self.scale * math.exp(q)
-        return 0.5 * self.scale * max(q, 0.0) ** 2
-
-    def maximizer(self, p: float) -> float:
-        """The intensity attaining the conjugate sup."""
-        q = p + self.shift
-        if self.family is CostFamily.ENTROPIC:
-            if q > _EXP_LIMIT:
-                raise NumericOverflow(f"exp({q}) overflows in entropic maximizer")
-            return self.scale * math.exp(q)
-        return self.scale * max(q, 0.0)
-
-    def lower_bound(self) -> float:
-        """min over lam >= 0 of l(lam), in closed form per family."""
-        if self.family is CostFamily.ENTROPIC:
-            # minimum at lam = a * exp(b)
-            return -self.scale * math.exp(self.shift)
-        # minimum at lam = a * b when b > 0, else at lam = 0
-        return -0.5 * self.scale * max(self.shift, 0.0) ** 2
 
 
 class CostModel:
@@ -104,38 +69,21 @@ class CostModel:
         missing = [e for e in expected if e not in edge_costs]
         if missing:
             raise ValueError(f"missing cost for edges {missing[:4]}")
-        extra = [e for e in edge_costs if e not in set(expected)]
+        expected_set = set(expected)
+        extra = [e for e in edge_costs if e not in expected_set]
         if extra:
             raise ValueError(f"costs given for edges not in the graph: {extra[:4]}")
 
         self.graph = graph
         self.edge_costs = {e: edge_costs[e] for e in expected}
-        n = graph.n_nodes
-        src, dst, scale, shift, entropic = [], [], [], [], []
-        offsets = [0]
-        for i in range(n):
-            for j in graph.out_neighbors[i]:
-                c = edge_costs[(i, j)]
-                src.append(i)
-                dst.append(j)
-                scale.append(c.scale)
-                shift.append(c.shift)
-                entropic.append(c.family is CostFamily.ENTROPIC)
-            offsets.append(len(src))
-        self.edge_src = np.array(src, dtype=np.intp)
-        self.edge_dst = np.array(dst, dtype=np.intp)
-        self.scale = np.array(scale, dtype=float)
-        self.shift = np.array(shift, dtype=float)
-        self.entropic = np.array(entropic, dtype=bool)
-        self.offsets = np.array(offsets, dtype=np.intp)
+        costs = list(self.edge_costs.values())
+        self.edge_src = np.array([i for i, _ in expected], dtype=np.intp)
+        self.edge_dst = np.array([j for _, j in expected], dtype=np.intp)
+        self.scale = np.array([c.scale for c in costs], dtype=float)
+        self.shift = np.array([c.shift for c in costs], dtype=float)
+        self.entropic = np.array([c.family is CostFamily.ENTROPIC for c in costs], dtype=bool)
+        self.offsets = np.searchsorted(self.edge_src, np.arange(graph.n_nodes + 1))
         self.strict_monotone = bool(self.entropic.all())
-        # node-by-edge incidence of sources; turns per-edge terms into node sums
-        inc = np.zeros((n, len(src)))
-        inc[self.edge_src, np.arange(len(src))] = 1.0
-        self._incidence = inc
-        # per-node additive lower bound on the running cost
-        per_edge = np.array([self.edge_costs[e].lower_bound() for e in expected])
-        self.cost_floor = inc @ per_edge
 
     @property
     def n_nodes(self) -> int:
@@ -145,6 +93,15 @@ class CostModel:
     def n_edges(self) -> int:
         return len(self.edge_src)
 
+    @functools.cached_property
+    def cost_floor(self) -> np.ndarray:
+        """Per-node additive lower bound on the running cost.
+
+        For both families min_lam l(lam) = -h(0), so the floor is -H(i, 0).
+        Computed on first use, so building a model runs no edge kernel.
+        """
+        return -self._node_sum(self.conjugate_terms(np.zeros(self.n_edges)))
+
     def node_slice(self, i: int) -> slice:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
@@ -152,32 +109,51 @@ class CostModel:
     def uniform(cls, graph: Graph, cost: EdgeCost) -> "CostModel":
         return cls(graph, {e: cost for e in graph.edges()})
 
-    # vectorized kernels over flat edge arrays; shapes broadcast over
-    # leading axes so a whole trajectory of slopes can be mapped at once
+    def _node_sum(self, terms: np.ndarray) -> np.ndarray:
+        """Sums of per-edge terms over each node's outgoing edges.
 
-    def _guard_exponent(self, q: np.ndarray) -> None:
-        if np.any((q > _EXP_LIMIT) & self.entropic):
-            top = float(np.max(np.where(self.entropic, q, -np.inf)))
+        Maps (..., n_edges) to (..., n_nodes). Every node has an
+        outgoing edge (the graph is strongly connected), so no segment
+        is empty.
+        """
+        return np.add.reduceat(terms, self.offsets[:-1], axis=-1)
+
+    # vectorized kernels over flat edge arrays; shapes broadcast over
+    # leading axes so a whole trajectory of slopes can be mapped at once,
+    # and ``edges`` restricts them to a slice of the flat order
+
+    def _params(self, edges: slice | None):
+        if edges is None:
+            return self.scale, self.shift, self.entropic
+        return self.scale[edges], self.shift[edges], self.entropic[edges]
+
+    @staticmethod
+    def _guard_exponent(q: np.ndarray, entropic: np.ndarray) -> None:
+        if ((q > _EXP_LIMIT) & entropic).any():
+            top = float(np.max(np.where(entropic, q, -np.inf)))
             raise NumericOverflow(f"exp({top}) overflows in entropic edge kernel")
 
-    def conjugate_terms(self, p_flat: np.ndarray) -> np.ndarray:
-        q = p_flat + self.shift
-        self._guard_exponent(q)
-        ent = self.scale * np.exp(np.where(self.entropic, q, 0.0))
-        quad = 0.5 * self.scale * np.square(np.clip(q, 0.0, None))
-        return np.where(self.entropic, ent, quad)
+    def conjugate_terms(self, p_flat: np.ndarray, edges: slice | None = None) -> np.ndarray:
+        """Edge conjugates h(p) = sup_{lam >= 0} lam * p - l(lam)."""
+        scale, shift, entropic = self._params(edges)
+        q = p_flat + shift
+        self._guard_exponent(q, entropic)
+        ent = scale * np.exp(np.where(entropic, q, 0.0))
+        quad = 0.5 * scale * np.square(np.maximum(q, 0.0))
+        return np.where(entropic, ent, quad)
 
-    def maximizer_terms(self, p_flat: np.ndarray) -> np.ndarray:
-        q = p_flat + self.shift
-        self._guard_exponent(q)
-        ent = self.scale * np.exp(np.where(self.entropic, q, 0.0))
-        quad = self.scale * np.clip(q, 0.0, None)
-        return np.where(self.entropic, ent, quad)
+    def maximizer_terms(self, p_flat: np.ndarray, edges: slice | None = None) -> np.ndarray:
+        """The intensities attaining the conjugate sups."""
+        scale, shift, entropic = self._params(edges)
+        q = p_flat + shift
+        self._guard_exponent(q, entropic)
+        ent = scale * np.exp(np.where(entropic, q, 0.0))
+        quad = scale * np.maximum(q, 0.0)
+        return np.where(entropic, ent, quad)
 
     def cost_terms(self, lam_flat: np.ndarray, edges: slice | None = None) -> np.ndarray:
-        scale = self.scale if edges is None else self.scale[edges]
-        shift = self.shift if edges is None else self.shift[edges]
-        entropic = self.entropic if edges is None else self.entropic[edges]
+        """Edge running costs l(lam), with l(0) = 0 for both families."""
+        scale, shift, entropic = self._params(edges)
         lam = np.asarray(lam_flat, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(np.where(lam > 0.0, lam, 1.0) / scale)
@@ -192,7 +168,7 @@ class CostModel:
 
     def hamiltonian_vector(self, values: np.ndarray) -> np.ndarray:
         """All node Hamiltonians H(i, (V_j - V_i)_j) at once."""
-        return self.conjugate_terms(self.slopes(values)) @ self._incidence.T
+        return self._node_sum(self.conjugate_terms(self.slopes(values)))
 
     def intensity_vector(self, values: np.ndarray) -> np.ndarray:
         """Flat per-edge optimal intensities at the given value vector."""
@@ -200,7 +176,21 @@ class CostModel:
 
     def running_cost_vector(self, lam_flat: np.ndarray) -> np.ndarray:
         """Per-node running costs L(i, lam(i, .)) from flat intensities."""
-        return self.cost_terms(lam_flat) @ self._incidence.T
+        return self._node_sum(self.cost_terms(lam_flat))
+
+    def generator(self, lam_flat: np.ndarray) -> np.ndarray:
+        """The n x n generator Q of the chain run at flat intensities.
+
+        Q[i, j] = lam_ij on each edge and Q[i, i] = -sum_j lam_ij, so
+        every row sums to zero. It is the Jacobian of hamiltonian_vector
+        at values whose optimal intensities are lam, and the transition
+        part of a fixed policy's evaluation system.
+        """
+        n = self.n_nodes
+        q = np.zeros((n, n))
+        np.add.at(q, (self.edge_src, self.edge_dst), lam_flat)
+        q[np.diag_indices(n)] -= self._node_sum(lam_flat)
+        return q
 
 
 @dataclass(frozen=True)
@@ -234,24 +224,19 @@ def cost(model: CostModel, i: int, lambdas) -> float:
     lam = _node_array(model, i, lambdas, "intensity vector")
     if np.any(lam < 0.0):
         raise NegativeIntensity(f"negative intensity at node {i}: {lam}")
-    neighbors = model.graph.out_neighbors[i]
-    return sum(model.edge_costs[(i, j)].value(float(v)) for j, v in zip(neighbors, lam))
+    return float(np.sum(model.cost_terms(lam, model.node_slice(i))))
 
 
 def hamiltonian(model: CostModel, i: int, p) -> float:
     """H(i, p) = sum over outgoing edges of the edge conjugates h_ij(p_j)."""
     arr = _node_array(model, i, p, "slope vector")
-    neighbors = model.graph.out_neighbors[i]
-    return sum(model.edge_costs[(i, j)].conjugate(float(v)) for j, v in zip(neighbors, arr))
+    return float(np.sum(model.conjugate_terms(arr, model.node_slice(i))))
 
 
 def optimal_intensities(model: CostModel, i: int, p) -> np.ndarray:
     """The intensities attaining the sup in H(i, p), one per outgoing edge."""
     arr = _node_array(model, i, p, "slope vector")
-    neighbors = model.graph.out_neighbors[i]
-    return np.array(
-        [model.edge_costs[(i, j)].maximizer(float(v)) for j, v in zip(neighbors, arr)]
-    )
+    return model.maximizer_terms(arr, model.node_slice(i))
 
 
 @dataclass(frozen=True)
@@ -309,9 +294,9 @@ def validate_assumptions(model: CostModel, sample_budget: int = 1000) -> Validat
     ok, witness = True, None
     for _ in range(sample_budget):
         p, q = random_slopes(), random_slopes()
-        hp = model.conjugate_terms(p) @ model._incidence.T
-        hq = model.conjugate_terms(q) @ model._incidence.T
-        hm = model.conjugate_terms(0.5 * (p + q)) @ model._incidence.T
+        hp = model._node_sum(model.conjugate_terms(p))
+        hq = model._node_sum(model.conjugate_terms(q))
+        hm = model._node_sum(model.conjugate_terms(0.5 * (p + q)))
         gap = hm - 0.5 * (hp + hq)
         if np.any(gap > 1e-10 * (1.0 + np.abs(hp) + np.abs(hq))):
             i = int(np.argmax(gap))
@@ -324,8 +309,8 @@ def validate_assumptions(model: CostModel, sample_budget: int = 1000) -> Validat
     for _ in range(sample_budget):
         p = random_slopes()
         q = p + rng.uniform(0.0, 2.0, size=model.n_edges)
-        hp = model.conjugate_terms(p) @ model._incidence.T
-        hq = model.conjugate_terms(q) @ model._incidence.T
+        hp = model._node_sum(model.conjugate_terms(p))
+        hq = model._node_sum(model.conjugate_terms(q))
         if np.any(hp > hq + 1e-12 * (1.0 + np.abs(hq))):
             i = int(np.argmax(hp - hq))
             ok, witness = False, {"node": i, "drop": float(hp[i] - hq[i])}
@@ -342,8 +327,9 @@ def validate_assumptions(model: CostModel, sample_budget: int = 1000) -> Validat
             q = p.copy()
             q[e] += rng.uniform(0.1, 1.0)
             i = int(model.edge_src[e])
-            hp = float(model.conjugate_terms(p) @ model._incidence.T[:, i])
-            hq = float(model.conjugate_terms(q) @ model._incidence.T[:, i])
+            sl = model.node_slice(i)
+            hp = hamiltonian(model, i, p[sl])
+            hq = hamiltonian(model, i, q[sl])
             if not hq > hp:
                 ok = False
                 witness = {"edge": (int(model.edge_src[e]), int(model.edge_dst[e])), "slope": float(p[e])}

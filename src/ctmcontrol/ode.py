@@ -13,7 +13,8 @@ Grid landing clamps the proposed step, never the controller's memory,
 so step statistics still reflect genuine error control. A step below
 1e-14 of the total span raises StepSizeUnderflow; if steps collapse
 while the right-hand side is returning non-finite values the failure is
-reported as NumericOverflow instead.
+reported as NumericOverflow instead. Running out of the step budget
+raises NoConvergence.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericOverflow, StepSizeUnderflow
+from .errors import NoConvergence, NumericOverflow, StepSizeUnderflow
 
 _A = (
     np.array([], dtype=float),
@@ -135,7 +136,7 @@ class _Stepper:
                     f"step {h} below 1e-14 of span {self.span} at t = {self.t}"
                 )
             if self.stats.accepted + self.stats.rejected >= _MAX_STEPS:
-                raise RuntimeError("step budget exhausted")
+                raise NoConvergence(f"step budget of {_MAX_STEPS} exhausted at t = {self.t}")
             y_new, k_last, err = self._step_once(h)
             if not np.isfinite(err):
                 self._nonfinite_last = True

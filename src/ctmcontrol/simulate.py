@@ -220,7 +220,8 @@ def evaluate_stationary_policy(model: CostModel, policy: Policy, r: float) -> np
     """Exact discounted value of a fixed intensity table at every node.
 
     Writes the one-step balance (r + exit rate) u_i = reward_i +
-    sum_j lam_ij u_j as a dense linear system and solves it. Requires a
+    sum_j lam_ij u_j as the dense linear system (r I - Q) u = reward,
+    with Q the policy's generator, and solves it. Requires a
     stationary policy and a positive discount; a singular system (which
     a positive discount rules out for finite rates) is reported rather
     than solved in least squares.
@@ -235,11 +236,8 @@ def evaluate_stationary_policy(model: CostModel, policy: Policy, r: float) -> np
     if not r > 0.0:
         raise ValueError(f"discount must be positive, got {r}")
     lam = policy.intensities
-    n = model.n_nodes
-    a = np.zeros((n, n))
-    np.add.at(a, (model.edge_src, model.edge_dst), -lam)
-    rates = lam @ model._incidence.T
-    a[np.diag_indices(n)] += r + rates
+    a = -model.generator(lam)
+    a[np.diag_indices_from(a)] += r
     b = -model.running_cost_vector(lam)
     try:
         u = np.linalg.solve(a, b)

@@ -12,9 +12,10 @@ Three related objects live here:
   system seeded by their own estimate (the refinement rejects any seed
   it would have to move far, so it cannot mask a bad estimate);
 * diagnostics of the long-run behaviour: the de-drifted flow, its
-  sup-gap q(t) to the corrector which must decrease along the flow, a
-  semigroup evaluator for the de-drifted equation, and the comparison
-  and strict-ordering checks that back them.
+  sup-gap q(t) to the corrector which must decrease along the flow,
+  the limit of q from given terminal data, a semigroup evaluator for
+  the de-drifted equation, and the comparison and strict-ordering
+  checks that back them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,11 @@ from .errors import (
 from .finite_horizon import ValueTrajectory
 from .ode import integrate_grid
 
-_DEFAULT_DISCOUNTS = tuple(2.0 ** -n for n in range(3, 21))
+# the vanishing-discount sweep's default discounts, 2^-3 down to 2^-20
+DISCOUNT_LADDER = tuple(2.0 ** -n for n in range(3, 21))
+
+# shortest window the long-time integrations accept
+MIN_T_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -49,33 +54,63 @@ class StationaryValue:
     iterations: int
 
 
+def _sup(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def _damped_newton(system, x: np.ndarray, tol, max_iter: int):
+    """Damped Newton on system(x) -> (F, J), measured in the sup norm.
+
+    Each step solves J d = -F, in least squares if J is singular, and
+    halves the step length from 1 down to 2^-30 until the residual
+    drops. Stops when the residual is within tol(x), when no step
+    length lowers it, or after max_iter accepted steps. Returns the
+    last iterate, its residual and the number of accepted steps.
+    """
+    f, jac = system(x)
+    fnorm = _sup(f)
+    steps = 0
+    while steps < max_iter and fnorm > tol(x):
+        try:
+            delta = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+        alpha = 1.0
+        while alpha >= 2.0 ** -30:
+            cand = x + alpha * delta
+            fc, jc = system(cand)
+            fcn = _sup(fc)
+            if np.isfinite(fcn) and fcn < fnorm:
+                break
+            alpha *= 0.5
+        else:
+            break
+        x, f, jac, fnorm = cand, fc, jc, fcn
+        steps += 1
+    return x, fnorm, steps
+
+
 def _stationary_system(model: CostModel, r: float, u: np.ndarray):
-    """Residual F(u) = -r u + H(u) and its intensity-based Jacobian."""
-    lam = model.intensity_vector(u)
-    f = model.conjugate_terms(model.slopes(u)) @ model._incidence.T - r * u
-    n = model.n_nodes
-    jac = np.zeros((n, n))
-    np.add.at(jac, (model.edge_src, model.edge_dst), lam)
-    rowsum = lam @ model._incidence.T
-    jac[np.diag_indices(n)] -= rowsum + r
-    return f, jac
+    """Residual F(u) = -r u + H(u) and its Jacobian Q(lam*) - r I."""
+    jac = model.generator(model.intensity_vector(u))
+    jac[np.diag_indices_from(jac)] -= r
+    return model.hamiltonian_vector(u) - r * u, jac
 
 
-def _integrate_to_stationary(model: CostModel, r: float, u0: np.ndarray):
-    """Fallback: follow the time-dependent flow to its fixed point."""
-    u = u0.copy()
+def _integrate_to_stationary(model: CostModel, r: float, u: np.ndarray):
+    """Fallback: follow the time-dependent flow to its fixed point.
 
+    Returns the point and its residual, which is below 1e-10 (1 + |u|).
+    """
     def rhs(_t, y):
         return model.hamiltonian_vector(y) - r * y
 
-    chunk = 25.0
     for _ in range(400):
-        grid = np.array([0.0, chunk])
-        rows, _ = integrate_grid(rhs, grid, u, 1e-10, 1e-12)
+        rows, _ = integrate_grid(rhs, np.array([0.0, 25.0]), u, 1e-10, 1e-12)
         u = rows[-1]
-        f = rhs(0.0, u)
-        if np.max(np.abs(f)) < max(1e-10, 1e-13 * (1.0 + np.max(np.abs(u)))):
-            return u
+        fnorm = _sup(rhs(0.0, u))
+        if fnorm < max(1e-10, 1e-13 * (1.0 + _sup(u))):
+            return u, fnorm
     raise NoConvergence(f"stationary flow did not settle at discount {r}")
 
 
@@ -84,10 +119,11 @@ def solve_stationary(model: CostModel, r: float, initial_guess: np.ndarray | Non
     """Solve -r u_i + H(i, (u_j - u_i)_j) = 0 for the stationary value.
 
     Damped Newton from the given initial guess (zero by default). The
-    Jacobian is assembled from the optimal intensities: row i carries
-    -r - sum_j lam*_ij on the diagonal and lam*_ij at each neighbor.
-    If Newton stalls, the time-dependent equation is integrated forward
-    until its velocity vanishes, which reaches the same fixed point.
+    Jacobian is the generator of the optimal intensities shifted by
+    -r: row i carries -r - sum_j lam*_ij on the diagonal and lam*_ij at
+    each neighbor, so it is strictly diagonally dominant. If Newton
+    stalls, the time-dependent equation is integrated forward until
+    its velocity vanishes, which reaches the same fixed point.
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"discount must be positive and finite, got {r}")
@@ -96,41 +132,13 @@ def solve_stationary(model: CostModel, r: float, initial_guess: np.ndarray | Non
     if u.shape != (n,):
         raise ValueError(f"initial guess has shape {u.shape}, expected ({n},)")
 
-    fval, jac = _stationary_system(model, r, u)
-    fnorm = float(np.max(np.abs(fval)))
-    stalled = False
-    for it in range(max_iter):
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(u))))
-        if fnorm <= tol:
-            return StationaryValue(r, u, fnorm, it)
-        try:
-            delta = np.linalg.solve(jac, -fval)
-        except np.linalg.LinAlgError:
-            stalled = True
-            break
-        alpha = 1.0
-        improved = False
-        while alpha >= 2.0 ** -30:
-            cand = u + alpha * delta
-            fc, jc = _stationary_system(model, r, cand)
-            fcn = float(np.max(np.abs(fc)))
-            if np.isfinite(fcn) and fcn < fnorm:
-                u, fval, jac, fnorm = cand, fc, jc, fcn
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            stalled = True
-            break
-    iterations = it + 1 if not stalled else it
+    u, fnorm, iterations = _damped_newton(
+        lambda x: _stationary_system(model, r, x), u,
+        lambda x: 1e-12 * (1.0 + _sup(x)), max_iter)
     # floor of evaluation noise reached: good enough if within contract
-    if fnorm <= 1e-10 * (1.0 + float(np.max(np.abs(u)))):
+    if fnorm <= 1e-10 * (1.0 + _sup(u)):
         return StationaryValue(r, u, fnorm, iterations)
-    u = _integrate_to_stationary(model, r, u)
-    fval, _ = _stationary_system(model, r, u)
-    fnorm = float(np.max(np.abs(fval)))
-    if fnorm > 1e-10 * (1.0 + float(np.max(np.abs(u)))):
-        raise NoConvergence(f"stationary residual {fnorm} above tolerance at discount {r}")
+    u, fnorm = _integrate_to_stationary(model, r, u)
     return StationaryValue(r, u, fnorm, iterations)
 
 
@@ -160,16 +168,16 @@ class ErgodicSolution:
     residual: float = float("nan")
 
 
-def _ergodic_system(model: CostModel, gamma: float, xi: np.ndarray):
-    """Residual of -gamma + H(i, xi) = 0 and its Jacobian in (gamma, xi[1:])."""
-    lam = model.intensity_vector(xi)
-    f = model.conjugate_terms(model.slopes(xi)) @ model._incidence.T - gamma
-    n = model.n_nodes
-    jxi = np.zeros((n, n))
-    np.add.at(jxi, (model.edge_src, model.edge_dst), lam)
-    jxi[np.diag_indices(n)] -= lam @ model._incidence.T
-    jac = np.concatenate([np.full((n, 1), -1.0), jxi[:, 1:]], axis=1)
-    return f, jac
+def _ergodic_system(model: CostModel, z: np.ndarray):
+    """Residual of -gamma + H(i, xi) = 0 and its Jacobian in z = (gamma, xi[1:]).
+
+    xi[0] is pinned to 0, so the generator's column 0 is free to carry
+    the derivative in gamma.
+    """
+    xi = np.concatenate([[0.0], z[1:]])
+    jac = model.generator(model.intensity_vector(xi))
+    jac[:, 0] = -1.0
+    return model.hamiltonian_vector(xi) - z[0], jac
 
 
 def _refine_ergodic(model: CostModel, gamma0: float, xi0: np.ndarray,
@@ -181,34 +189,15 @@ def _refine_ergodic(model: CostModel, gamma0: float, xi0: np.ndarray,
     converged, which is reported as NoConvergence rather than silently
     accepting the polished root.
     """
-    gamma, xi = float(gamma0), np.asarray(xi0, dtype=float).copy()
-    xi[0] = 0.0
-    f, jac = _ergodic_system(model, gamma, xi)
-    fnorm = float(np.max(np.abs(f)))
-    for _ in range(60):
-        if fnorm <= 1e-12 * (1.0 + abs(gamma)):
-            break
-        try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        alpha, improved = 1.0, False
-        while alpha >= 2.0 ** -30:
-            cg = gamma + alpha * delta[0]
-            cx = xi.copy()
-            cx[1:] += alpha * delta[1:]
-            fc, jc = _ergodic_system(model, cg, cx)
-            fcn = float(np.max(np.abs(fc)))
-            if np.isfinite(fcn) and fcn < fnorm:
-                gamma, xi, f, jac, fnorm = cg, cx, fc, jc, fcn
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            break
+    gamma0 = float(gamma0)
+    xi0 = np.asarray(xi0, dtype=float)
+    z, fnorm, _ = _damped_newton(
+        lambda x: _ergodic_system(model, x), np.concatenate([[gamma0], xi0[1:]]),
+        lambda x: 1e-12 * (1.0 + abs(x[0])), 60)
     if fnorm > 1e-8:
         raise NoConvergence(f"ergodic refinement stalled at residual {fnorm}")
-    moved = max(abs(gamma - gamma0), float(np.max(np.abs(xi - xi0))))
+    gamma, xi = float(z[0]), np.concatenate([[0.0], z[1:]])
+    moved = max(abs(gamma - gamma0), _sup(xi - xi0))
     if moved > trust * (1.0 + abs(gamma0)):
         raise NoConvergence(
             f"ergodic estimate moved {moved:.2e} under refinement; estimator had not converged"
@@ -232,7 +221,7 @@ def solve_ergodic_vanishing_discount(
     geometrically (factor 0.75, with 1e-7 slack). The estimate is then
     Newton-refined onto the ergodic system.
     """
-    rs = _DEFAULT_DISCOUNTS if r_sequence is None else tuple(float(r) for r in r_sequence)
+    rs = DISCOUNT_LADDER if r_sequence is None else tuple(float(r) for r in r_sequence)
     if len(rs) < 2:
         raise ValueError("need at least two discounts in the sequence")
     if any(not (r > 0.0) for r in rs) or any(b >= a for a, b in zip(rs, rs[1:])):
@@ -263,6 +252,19 @@ def solve_ergodic_vanishing_discount(
                            None, not model.strict_monotone, resid)
 
 
+def _long_time_grid(t_max: float) -> np.ndarray:
+    """Output grid of the long-time integrations: max(256, ceil(8 t_max)) intervals."""
+    if not (t_max >= MIN_T_MAX and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be at least {MIN_T_MAX:g}, got {t_max}")
+    return np.linspace(0.0, t_max, max(256, math.ceil(8.0 * t_max)) + 1)
+
+
+def _settled_limit(grid: np.ndarray, q: np.ndarray) -> float | None:
+    """The final q, or None while the tail from half the window on moves by 1e-6 or more."""
+    mid = int(np.searchsorted(grid, 0.5 * grid[-1]))
+    return float(q[-1]) if abs(q[-1] - q[mid]) < 1e-6 else None
+
+
 def solve_ergodic_direct(model: CostModel, t_max: float = 200.0,
                          rtol: float = 1e-10, atol: float = 1e-12) -> ErgodicSolution:
     """Ergodic pair from one long undiscounted integration.
@@ -276,8 +278,7 @@ def solve_ergodic_direct(model: CostModel, t_max: float = 200.0,
     de-drifted trajectory also yields the decreasing gap q(t) and its
     limit, recorded as diagnostics.
     """
-    if not (t_max >= 10.0 and math.isfinite(t_max)):
-        raise ValueError(f"t_max must be at least 10, got {t_max}")
+    grid = _long_time_grid(t_max)
     n = model.n_nodes
 
     def drifting(_t, y):
@@ -290,7 +291,6 @@ def solve_ergodic_direct(model: CostModel, t_max: float = 200.0,
     def dedrifted(_t, y):
         return model.hamiltonian_vector(y) - gamma0
 
-    grid = np.linspace(0.0, t_max, max(256, math.ceil(8.0 * t_max)) + 1)
     ys, _ = integrate_grid(dedrifted, grid, np.zeros(n), rtol, atol)
 
     mid = int(np.searchsorted(grid, 0.5 * t_max))
@@ -307,9 +307,29 @@ def solve_ergodic_direct(model: CostModel, t_max: float = 200.0,
     vhat = ys + (gamma0 - gamma) * grid[:, None]
     q = np.max(vhat - xi, axis=1)
     diags = np.column_stack([grid, q])
-    q_inf = float(q[-1]) if abs(q[-1] - q[mid]) < 1e-6 else None
     return ErgodicSolution(gamma, xi, ErgodicMethod.DIRECT_LONG_TIME, diags,
-                           q_inf, not model.strict_monotone, resid)
+                           _settled_limit(grid, q), not model.strict_monotone, resid)
+
+
+def limit_deviation_offset(model: CostModel, gamma: float, xi: np.ndarray,
+                           payoff: np.ndarray, t_max: float = 200.0) -> float:
+    """q-limit of the de-drifted flow started from a terminal payoff.
+
+    Integrates dz/dt = H(z) - gamma from z(0) = payoff on the direct
+    route's grid and returns the settled limit of q(t) = max_i (z_i(t)
+    - xi_i), the offset in V(T) ~ gamma T + xi + q. Raises NoConvergence
+    when the tail has not settled.
+    """
+    grid = _long_time_grid(t_max)
+
+    def rhs(_t, z):
+        return model.hamiltonian_vector(z) - gamma
+
+    rows, _ = integrate_grid(rhs, grid, np.asarray(payoff, dtype=float), 1e-10, 1e-12)
+    q_inf = _settled_limit(grid, np.max(rows - xi, axis=1))
+    if q_inf is None:
+        raise NoConvergence(f"deviation offset not stabilized over [0, {t_max}]")
+    return q_inf
 
 
 @dataclass(frozen=True)
@@ -360,9 +380,8 @@ def q_diagnostic(series: DedriftedSeries, xi: np.ndarray,
         raise MonotonicityViolation(
             f"q rose by {rises[worst]:.3e} between t = {series.grid[worst]} and its successor"
         )
-    mid = int(np.searchsorted(series.grid, 0.5 * series.grid[-1]))
-    converged = bool(abs(q[-1] - q[mid]) < 1e-6)
-    return QDiagnostic(series.grid.copy(), q, float(q[-1]) if converged else None, converged)
+    q_inf = _settled_limit(series.grid, q)
+    return QDiagnostic(series.grid.copy(), q, q_inf, q_inf is not None)
 
 
 def semigroup_apply(model: CostModel, gamma: float, y: np.ndarray, t: float,

@@ -322,3 +322,40 @@ def test_help_exits_zero(capsys):
 def test_unknown_subcommand_is_input_error(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# solver limits reported as exit codes
+
+def short_window_file(tmp_path):
+    doc = json.loads(read("problems/ring3.json"))
+    doc["solver"]["t_max"] = 5
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_short_window_is_input_error_for_long_time_routes(tmp_path, capsys):
+    src = short_window_file(tmp_path)
+    out = str(tmp_path / "out")
+    for method in ("direct", "both"):
+        assert main(["ergodic", src, out, "--method", method]) == 2
+        assert "t_max" in capsys.readouterr().err
+    assert main(["asymptotics", src, out, "--horizons", "2,4"]) == 2
+    assert "t_max" in capsys.readouterr().err
+
+
+def test_short_window_accepted_where_unused(tmp_path, capsys):
+    src = short_window_file(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["ergodic", src, out, "--method", "vanishing"]) == 0
+    assert main(["solve", src, out]) == 0
+    assert main(["policy", src, out]) == 0
+    assert main(["simulate", src, out, "--paths", "200", "--seed", "5"]) == 0
+    capsys.readouterr()
+
+
+def test_step_budget_exhaustion_is_solver_failure(tmp_path, capsys, monkeypatch):
+    import ctmcontrol.ode as ode
+    monkeypatch.setattr(ode, "_MAX_STEPS", 5)
+    assert main(["solve", "problems/ring3.json", str(tmp_path / "o.csv")]) == 3
+    assert "step budget" in capsys.readouterr().err

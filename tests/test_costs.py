@@ -18,7 +18,7 @@ from ctmcontrol import (
     optimal_intensities,
     validate_assumptions,
 )
-from conftest import two_node_model
+from conftest import random_models, two_node_model
 from oracles import grid_max_hamiltonian
 
 
@@ -219,6 +219,46 @@ def test_maximizer_is_gradient_of_hamiltonian():
             e[j] = d
             fd = (hamiltonian(model, 0, p + e) - hamiltonian(model, 0, p - e)) / (2 * d)
             assert abs(fd - lam_star[j]) <= 1e-6 * (1.0 + abs(lam_star[j]))
+
+
+# node sums and the generator on random strongly connected graphs
+
+
+def test_node_sum_matches_edge_loop():
+    for rng, model in random_models(106):
+        n, e = model.n_nodes, model.n_edges
+        own = [np.flatnonzero(model.edge_src == i) for i in range(n)]
+        for shape in ((e,), (4, e), (3, 2, e)):
+            terms = rng.uniform(-5.0, 5.0, size=shape)
+            ref = np.stack([terms[..., k].sum(axis=-1) for k in own], axis=-1)
+            size = np.stack([np.abs(terms[..., k]).sum(axis=-1) for k in own], axis=-1)
+            got = model._node_sum(terms)
+            assert got.shape == shape[:-1] + (n,)
+            # only the summation order differs: float64 reordering error is
+            # below degree * eps * sum|t| < 1e-14 sum|t| at degree <= 40
+            assert np.all(np.abs(got - ref) <= 1e-13 * size)
+        values = rng.uniform(-1.0, 1.0, size=(3, 2, n))
+        slopes = model.slopes(values)
+        ham = model.hamiltonian_vector(values)
+        for i in range(n):
+            sl = model.node_slice(i)
+            expected = [hamiltonian(model, i, p[sl]) for p in slopes.reshape(-1, e)]
+            assert ham[..., i].reshape(-1) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+def test_generator_has_zero_row_sums_and_graph_support():
+    for rng, model in random_models(107):
+        n = model.n_nodes
+        lam = rng.uniform(0.1, 3.0, size=model.n_edges)
+        q = model.generator(lam)
+        assert q.shape == (n, n)
+        assert np.max(np.abs(q.sum(axis=1))) <= 1e-13 * (1.0 + np.max(np.abs(q)))
+        on_edge = np.zeros((n, n), dtype=bool)
+        on_edge[model.edge_src, model.edge_dst] = True
+        # boolean indexing walks rows then columns: the canonical edge order
+        assert np.array_equal(q[on_edge], lam)
+        assert np.all(q[~on_edge & ~np.eye(n, dtype=bool)] == 0.0)
+        assert np.all(np.diag(q) < 0.0)
 
 
 # validate_assumptions

@@ -21,7 +21,7 @@ from ctmcontrol import (
 )
 from ctmcontrol.simulate import _compress, _path_value
 
-from conftest import two_node_model
+from conftest import random_models, two_node_model
 
 
 def unit_policy():
@@ -138,6 +138,16 @@ def test_stationary_evaluation_never_beats_optimum(symmetric2):
         policy = Policy(PolicyMode.STATIONARY, np.array(lam))
         value = evaluate_stationary_policy(symmetric2, policy, 0.5)
         assert np.all(value <= optimal + 1e-9)
+
+
+def test_stationary_evaluation_of_optimal_policy_is_the_optimum():
+    # the verification theorem at equality: the optimal intensities
+    # earn exactly the stationary value they were read off
+    for _, model in random_models(108):
+        sol = solve_stationary(model, 0.5)
+        policy = Policy(PolicyMode.STATIONARY, model.intensity_vector(sol.u))
+        value = evaluate_stationary_policy(model, policy, 0.5)
+        assert np.max(np.abs(value - sol.u)) <= 1e-9 * (1.0 + np.max(np.abs(sol.u)))
 
 
 def test_stationary_evaluation_of_idle_policy(symmetric2):
