@@ -15,7 +15,7 @@ disagreement, 5 statistical mismatch, 6 asymptotics violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -27,7 +27,7 @@ from .simulate import estimate_value_gap, simulate
 from .stationary import (
     DISCOUNT_LADDER,
     MIN_T_MAX,
-    limit_deviation_offset,
+    deviation_profile,
     solve_ergodic_direct,
     solve_ergodic_vanishing_discount,
 )
@@ -227,8 +227,8 @@ def cmd_asymptotics(args) -> int:
         horizons = [float(tok) for tok in args.horizons.split(",") if tok.strip()]
     except ValueError:
         return _fail(EXIT_INPUT, f"cannot parse --horizons {args.horizons!r}")
-    if not horizons or any(t <= 0 for t in horizons):
-        return _fail(EXIT_INPUT, "--horizons needs positive values")
+    if not horizons or not all(0.0 < t < math.inf for t in horizons):
+        return _fail(EXIT_INPUT, "--horizons needs positive finite values")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         return _fail(EXIT_INPUT, "--horizons must be strictly increasing")
     try:
@@ -236,20 +236,13 @@ def cmd_asymptotics(args) -> int:
         _require_window(opts)
     except ProblemFileError as exc:
         return _fail(EXIT_INPUT, str(exc))
-    # the expansion describes the undiscounted flow; discount is forced to 0
-    problem = dataclasses.replace(problem, discount=0.0)
+    # the expansion describes the undiscounted flow; the file's discount is unused
     model = problem.costs
-    rtol, atol = min(opts.rtol, 1e-10), min(opts.atol, 1e-12)
     try:
         sol = solve_ergodic_direct(model, opts.t_max)
-        q_inf = limit_deviation_offset(model, sol.gamma, sol.xi,
-                                       problem.terminal_payoff, opts.t_max)
-        deviations = []
-        for horizon in horizons:
-            pT = dataclasses.replace(problem, horizon=horizon)
-            traj = solve_finite_horizon(pT, rtol=rtol, atol=atol)
-            predicted = sol.gamma * horizon + sol.xi + q_inf
-            deviations.append(float(np.max(np.abs(traj.values[0] - predicted))))
+        deviations = deviation_profile(
+            model, sol.gamma, sol.xi, problem.terminal_payoff, horizons, opts.t_max,
+            min(opts.rtol, 1e-10), min(opts.atol, 1e-12))[1].tolist()
     except ControlError as exc:
         return _fail(EXIT_SOLVER, str(exc))
     _write_text(args.output, _csv(["T", "deviation"], zip(horizons, deviations)))

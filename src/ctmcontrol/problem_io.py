@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostFamily, CostModel, EdgeCost
-from .errors import ProblemFileError
+from .errors import IsolatedNode, NotStronglyConnected, ProblemFileError
 from .finite_horizon import Problem
 from .graph import build_graph
 
@@ -75,7 +75,8 @@ def parse_problem_file(text: str) -> tuple[Problem, SolverOptions]:
 
     Raises ProblemFileError for malformed JSON (with the line and
     column of the fault), for schema violations, and for semantically
-    invalid data (self-loops, duplicate edges, bad index ranges) with
+    invalid data (self-loops, duplicate edges, bad index ranges, a node
+    without edges, a graph that is not strongly connected) with
     messages in the file's 1-based node numbering.
     """
     def _bad_constant(token):
@@ -148,7 +149,13 @@ def parse_problem_file(text: str) -> tuple[Problem, SolverOptions]:
         r_min=_require_number(raw.get("r_min", defaults.r_min), "solver 'r_min'", positive=True),
     )
 
-    graph = build_graph(n, list(edge_costs))
+    try:
+        graph = build_graph(n, list(edge_costs))
+    except IsolatedNode as exc:
+        lonely = min(set(range(1, n + 1)).difference(*seen))
+        raise ProblemFileError(f"node {lonely} has no edges") from exc
+    except NotStronglyConnected as exc:
+        raise ProblemFileError("the edges do not form a strongly connected graph") from exc
     model = CostModel(graph, edge_costs)
     return Problem(model, g, horizon, discount), options
 

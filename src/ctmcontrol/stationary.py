@@ -3,7 +3,7 @@
 Three related objects live here:
 
 * the discounted stationary value u solving -r u_i + H(i, u) = 0,
-  found by damped Newton with a forward-integration fallback;
+  found by damped Newton, restarted after forward integration if it stalls;
 * the ergodic pair (gamma, xi): the linear growth rate of the
   undiscounted flow and its corrector, normalized so xi[0] = 0, solving
   -gamma + H(i, (xi_j - xi_i)_j) = 0. Two independent routes are
@@ -13,9 +13,9 @@ Three related objects live here:
   it would have to move far, so it cannot mask a bad estimate);
 * diagnostics of the long-run behaviour: the de-drifted flow, its
   sup-gap q(t) to the corrector which must decrease along the flow,
-  the limit of q from given terminal data, a semigroup evaluator for
-  the de-drifted equation, and the comparison and strict-ordering
-  checks that back them.
+  its limit and the finite-horizon deviations from given terminal data,
+  a semigroup evaluator for the de-drifted equation, and the comparison
+  and strict-ordering checks that back them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     StrictnessViolation,
 )
 from .finite_horizon import ValueTrajectory
-from .ode import integrate_grid
+from .ode import integrate_endpoint, integrate_grid
 
 # the vanishing-discount sweep's default discounts, 2^-3 down to 2^-20
 DISCOUNT_LADDER = tuple(2.0 ** -n for n in range(3, 21))
@@ -97,23 +97,6 @@ def _stationary_system(model: CostModel, r: float, u: np.ndarray):
     return model.hamiltonian_vector(u) - r * u, jac
 
 
-def _integrate_to_stationary(model: CostModel, r: float, u: np.ndarray):
-    """Fallback: follow the time-dependent flow to its fixed point.
-
-    Returns the point and its residual, which is below 1e-10 (1 + |u|).
-    """
-    def rhs(_t, y):
-        return model.hamiltonian_vector(y) - r * y
-
-    for _ in range(400):
-        rows, _ = integrate_grid(rhs, np.array([0.0, 25.0]), u, 1e-10, 1e-12)
-        u = rows[-1]
-        fnorm = _sup(rhs(0.0, u))
-        if fnorm < max(1e-10, 1e-13 * (1.0 + _sup(u))):
-            return u, fnorm
-    raise NoConvergence(f"stationary flow did not settle at discount {r}")
-
-
 def solve_stationary(model: CostModel, r: float, initial_guess: np.ndarray | None = None,
                      max_iter: int = 80) -> StationaryValue:
     """Solve -r u_i + H(i, (u_j - u_i)_j) = 0 for the stationary value.
@@ -122,8 +105,9 @@ def solve_stationary(model: CostModel, r: float, initial_guess: np.ndarray | Non
     Jacobian is the generator of the optimal intensities shifted by
     -r: row i carries -r - sum_j lam*_ij on the diagonal and lam*_ij at
     each neighbor, so it is strictly diagonally dominant. If Newton
-    stalls, the time-dependent equation is integrated forward until
-    its velocity vanishes, which reaches the same fixed point.
+    stalls, the time-dependent equation is integrated toward the same
+    fixed point and Newton restarts there with up to 80 steps; iterations
+    counts every accepted Newton step. The residual is below 1e-10 (1 + |u|).
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"discount must be positive and finite, got {r}")
@@ -132,14 +116,27 @@ def solve_stationary(model: CostModel, r: float, initial_guess: np.ndarray | Non
     if u.shape != (n,):
         raise ValueError(f"initial guess has shape {u.shape}, expected ({n},)")
 
-    u, fnorm, iterations = _damped_newton(
-        lambda x: _stationary_system(model, r, x), u,
-        lambda x: 1e-12 * (1.0 + _sup(x)), max_iter)
-    # floor of evaluation noise reached: good enough if within contract
-    if fnorm <= 1e-10 * (1.0 + _sup(u)):
-        return StationaryValue(r, u, fnorm, iterations)
-    u, fnorm = _integrate_to_stationary(model, r, u)
-    return StationaryValue(r, u, fnorm, iterations)
+    def system(x):
+        return _stationary_system(model, r, x)
+
+    def tol(x):
+        return 1e-12 * (1.0 + _sup(x))
+
+    def rhs(_t, y):
+        return model.hamiltonian_vector(y) - r * y
+
+    u, fnorm, iterations = _damped_newton(system, u, tol, max_iter)
+    # the flow's rtol-1e-10 steps stall near a residual of 1e-9, above the
+    # contract, so Newton restarts once the flow is below 1e-6 (1 + |u|)
+    for _ in range(400):
+        if fnorm <= 1e-10 * (1.0 + _sup(u)):
+            return StationaryValue(r, u, fnorm, iterations)
+        u, _ = integrate_endpoint(rhs, 0.0, 25.0, u, 1e-10, 1e-12)
+        fnorm = _sup(rhs(0.0, u))
+        if fnorm < 1e-6 * (1.0 + _sup(u)):
+            u, fnorm, polish = _damped_newton(system, u, tol, 80)
+            iterations += polish
+    raise NoConvergence(f"stationary flow did not settle at discount {r}")
 
 
 class ErgodicMethod(enum.Enum):
@@ -252,11 +249,9 @@ def solve_ergodic_vanishing_discount(
                            None, not model.strict_monotone, resid)
 
 
-def _long_time_grid(t_max: float) -> np.ndarray:
-    """Output grid of the long-time integrations: max(256, ceil(8 t_max)) intervals."""
+def _check_window(t_max: float) -> None:
     if not (t_max >= MIN_T_MAX and math.isfinite(t_max)):
         raise ValueError(f"t_max must be at least {MIN_T_MAX:g}, got {t_max}")
-    return np.linspace(0.0, t_max, max(256, math.ceil(8.0 * t_max)) + 1)
 
 
 def _settled_limit(grid: np.ndarray, q: np.ndarray) -> float | None:
@@ -278,7 +273,8 @@ def solve_ergodic_direct(model: CostModel, t_max: float = 200.0,
     de-drifted trajectory also yields the decreasing gap q(t) and its
     limit, recorded as diagnostics.
     """
-    grid = _long_time_grid(t_max)
+    _check_window(t_max)
+    grid = np.linspace(0.0, t_max, max(256, math.ceil(8.0 * t_max)) + 1)
     n = model.n_nodes
 
     def drifting(_t, y):
@@ -311,25 +307,34 @@ def solve_ergodic_direct(model: CostModel, t_max: float = 200.0,
                            _settled_limit(grid, q), not model.strict_monotone, resid)
 
 
-def limit_deviation_offset(model: CostModel, gamma: float, xi: np.ndarray,
-                           payoff: np.ndarray, t_max: float = 200.0) -> float:
-    """q-limit of the de-drifted flow started from a terminal payoff.
+def deviation_profile(model: CostModel, gamma: float, xi: np.ndarray, payoff: np.ndarray,
+                      horizons, t_max: float = 200.0, rtol: float = 1e-10,
+                      atol: float = 1e-12) -> tuple[float, np.ndarray]:
+    """q-limit of the de-drifted flow and each horizon's deviation from it.
 
-    Integrates dz/dt = H(z) - gamma from z(0) = payoff on the direct
-    route's grid and returns the settled limit of q(t) = max_i (z_i(t)
-    - xi_i), the offset in V(T) ~ gamma T + xi + q. Raises NoConvergence
-    when the tail has not settled.
+    Integrates dz/dt = H(z) - gamma once from z(0) = payoff, landing
+    only on 0, t_max / 2, t_max and the horizons. H reads only
+    differences, so z(T) + gamma T is V(0) of the undiscounted
+    horizon-T problem, and its deviation from gamma T + xi + q_inf is
+    max_i |z_i(T) - xi_i - q_inf| exactly. q_inf = max_i (z_i - xi_i) at
+    t_max; NoConvergence if that moved by 1e-6 or more since t_max / 2.
+    Returns q_inf and the deviations in the order of the horizons.
     """
-    grid = _long_time_grid(t_max)
+    _check_window(t_max)
+    grid = np.unique(np.concatenate([[0.0, 0.5 * t_max, t_max], horizons]))
+    if not (grid[0] == 0.0 and grid[-1] < math.inf):  # np.unique sorts NaN last
+        raise ValueError(f"horizons must be finite and nonnegative, got {horizons}")
 
     def rhs(_t, z):
         return model.hamiltonian_vector(z) - gamma
 
-    rows, _ = integrate_grid(rhs, grid, np.asarray(payoff, dtype=float), 1e-10, 1e-12)
-    q_inf = _settled_limit(grid, np.max(rows - xi, axis=1))
+    rows, _ = integrate_grid(rhs, grid, np.asarray(payoff, dtype=float), rtol, atol)
+    end = int(np.searchsorted(grid, t_max)) + 1
+    q_inf = _settled_limit(grid[:end], np.max(rows[:end] - xi, axis=1))
     if q_inf is None:
         raise NoConvergence(f"deviation offset not stabilized over [0, {t_max}]")
-    return q_inf
+    at = rows[np.searchsorted(grid, horizons)]
+    return q_inf, np.max(np.abs(at - xi - q_inf), axis=1)
 
 
 @dataclass(frozen=True)
@@ -406,8 +411,8 @@ def semigroup_apply(model: CostModel, gamma: float, y: np.ndarray, t: float,
         flat = model.hamiltonian_vector(z.reshape(y.shape)) - gamma
         return flat.reshape(-1)
 
-    rows, _ = integrate_grid(rhs, np.array([0.0, t]), y.reshape(-1), rtol, atol)
-    return rows[-1].reshape(y.shape)
+    z, _ = integrate_endpoint(rhs, 0.0, t, y.reshape(-1), rtol, atol)
+    return z.reshape(y.shape)
 
 
 @dataclass(frozen=True)

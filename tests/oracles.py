@@ -1,10 +1,11 @@
-"""Independent oracles: brute-force routes that share no solver code.
+"""Independent oracles: brute-force and exact routes that share no solver code.
 
-Three routes cross-check the library: a lambda-grid maximizer that
+Four routes cross-check the library: a lambda-grid maximizer that
 never touches the closed-form conjugates, an explicit-Euler backward
-march that never touches the adaptive integrator, and a long-time
-Euler relaxation for stationary values. Tests freeze expected values
-from these, or call them directly where the instance is random.
+march that never touches the adaptive integrator, a long-time Euler
+relaxation for stationary values, and the exact Cole-Hopf solution of
+all-entropic undiscounted models. Tests freeze expected values from
+these, or call them directly where the instance is random.
 """
 
 import math
@@ -77,3 +78,54 @@ def symmetric_discounted_value(r, t, horizon):
     if r == 0.0:
         return horizon - np.asarray(t, dtype=float)
     return -np.expm1(-r * (horizon - np.asarray(t, dtype=float))) / r
+
+
+def _log_expm_apply(a, v, terms=30):
+    """log(exp(a) v) for a nonnegative matrix a and positive vector v.
+
+    Scaling and squaring: every Taylor term and every product is
+    nonnegative, so nothing cancels; each square is divided by its
+    largest entry and the scale is carried in log space, so a large a
+    cannot overflow.
+    """
+    squarings = max(0, math.ceil(math.log2(max(np.max(np.sum(a, axis=1)), 1e-300) / 0.5)))
+    a = a / 2.0 ** squarings
+    x = np.eye(a.shape[0])
+    term = np.eye(a.shape[0])
+    for j in range(1, terms):
+        term = term @ a / j
+        x = x + term
+    log_scale = 0.0
+    for _ in range(squarings):
+        x = x @ x
+        top = np.max(x)
+        x = x / top
+        log_scale = 2.0 * log_scale + math.log(top)
+    return np.log(x @ v) + log_scale
+
+
+def cole_hopf(model, payoff, horizons):
+    """Exact long-run expansion of an all-entropic undiscounted model.
+
+    With K_ij = a_ij e^{b_ij} on the edges, H(i, V) = sum_j K_ij
+    e^{V_j - V_i}, so phi = e^V solves the linear system phi' = K phi
+    and V(0; T) = log(exp(T K) e^g). K is irreducible, so its Perron
+    root is gamma; with r and l its right and left Perron vectors,
+    xi = log r - log r_0 and q_inf = log(r_0 (l . e^g) / (l . r)).
+    Returns (gamma, xi, q_inf, [V(0; T) for T in horizons]).
+    """
+    if not np.all(model.entropic):
+        raise ValueError("the Cole-Hopf transform needs every edge entropic")
+    n = model.n_nodes
+    k = np.zeros((n, n))
+    k[model.edge_src, model.edge_dst] = model.scale * np.exp(model.shift)
+    roots, right = np.linalg.eig(k)
+    top = int(np.argmax(roots.real))
+    gamma = float(roots[top].real)
+    r = np.abs(right[:, top].real)
+    roots_t, left = np.linalg.eig(k.T)
+    ell = np.abs(left[:, int(np.argmax(roots_t.real))].real)
+    eg = np.exp(np.asarray(payoff, dtype=float))
+    xi = np.log(r) - math.log(r[0])
+    q_inf = math.log(r[0] * float(ell @ eg) / float(ell @ r))
+    return gamma, xi, q_inf, [_log_expm_apply(t * k, eg) for t in horizons]

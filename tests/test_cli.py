@@ -111,6 +111,24 @@ def test_self_loop_reported_in_file_coordinates():
         parse_problem_file(json.dumps(doc))
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(1, 2), (2, 1), (3, 1)], "strongly connected"),
+    ([(1, 2), (2, 1)], "node 3 has no edges"),
+])
+def test_graph_errors_are_input_errors(tmp_path, capsys, edges, message):
+    doc = json.loads(symmetric_text())
+    doc["nodes"] = 3
+    doc["terminal_payoff"] = [0, 0, 0]
+    doc["edges"] = [{"from": a, "to": b, "family": "entropic", "scale": 1, "shift": 0}
+                    for a, b in edges]
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    with pytest.raises(ProblemFileError, match=message):
+        parse_problem_file(src.read_text())
+    assert main(["solve", str(src), str(tmp_path / "o.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(ProblemFileError, match=r"line \d+, column \d+"):
         parse_problem_file('{"nodes": 2,,}')
@@ -303,13 +321,20 @@ def test_asymptotics_violation_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_asymptotics_rejects_bad_horizons(tmp_path, capsys):
     out = tmp_path / "asym.csv"
-    assert main(["asymptotics", "problems/symmetric2.json", str(out),
-                 "--horizons", "4,2"]) == 2
-    assert main(["asymptotics", "problems/symmetric2.json", str(out),
-                 "--horizons", "abc"]) == 2
-    assert main(["asymptotics", "problems/symmetric2.json", str(out),
-                 "--horizons", "-1,2"]) == 2
+    for horizons in ("4,2", "abc", "-1,2", "2,inf", "nan"):
+        assert main(["asymptotics", "problems/symmetric2.json", str(out),
+                     "--horizons", horizons]) == 2
     capsys.readouterr()
+
+
+def test_asymptotics_asymmetric_matches_turnpike(tmp_path):
+    # gamma = 2 and the gap to the second eigenvalue is 4, so the exact
+    # deviation is below 1e-17 from T = 10 on
+    out = tmp_path / "asym.csv"
+    assert main(["asymptotics", "problems/asymmetric2.json", str(out)]) == 0
+    rows = [[float(x) for x in line.split(",")] for line in read(out).splitlines()[1:]]
+    assert [row[0] for row in rows] == [10.0, 20.0, 40.0]
+    assert all(row[1] <= 1e-10 for row in rows)
 
 
 # argument handling

@@ -22,11 +22,11 @@ from ctmcontrol import (
     solve_stationary,
     verify_stationary_comparison,
 )
-from ctmcontrol.stationary import DedriftedSeries, _refine_ergodic
+from ctmcontrol.stationary import DedriftedSeries, _refine_ergodic, deviation_profile
 from ctmcontrol.fixtures import random_model
 
 from conftest import ring_model, two_node_model
-from oracles import euler_stationary
+from oracles import cole_hopf, euler_stationary
 
 LOG2 = math.log(2.0)
 
@@ -61,6 +61,16 @@ def test_stationary_initial_guess_same_answer(asymmetric2):
     a = solve_stationary(asymmetric2, 0.3)
     b = solve_stationary(asymmetric2, 0.3, initial_guess=np.array([5.0, -7.0]))
     assert np.max(np.abs(a.u - b.u)) < 1e-9
+
+
+def test_stationary_fallback_settles_after_newton_stall():
+    # one Newton step leaves the residual far above the contract, so
+    # the flow fallback has to finish the solve
+    model = random_model(np.random.default_rng(3), 6, family="mixed")
+    ref = solve_stationary(model, 0.5)
+    sol = solve_stationary(model, 0.5, max_iter=1)
+    assert sol.residual <= 1e-10 * (1.0 + np.max(np.abs(sol.u)))
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-12 * (1.0 + np.max(np.abs(ref.u)))
 
 
 def test_stationary_rejects_bad_discount(symmetric2):
@@ -176,6 +186,27 @@ def test_refinement_rejects_distant_seed(asymmetric2):
 
 
 # de-drifted flow diagnostics
+
+def test_deviation_profile_keeps_horizon_order(asymmetric2):
+    payoff = np.array([0.3, -0.2])
+    horizons = (5.0, 1.0, 300.0)
+    gamma, xi, q_exact, values = cole_hopf(asymmetric2, payoff, horizons)
+    q_inf, deviations = deviation_profile(asymmetric2, gamma, xi, payoff, horizons)
+    exact = [np.max(np.abs(v - gamma * t - xi - q_exact)) for v, t in zip(values, horizons)]
+    assert exact[1] > 1e-3
+    assert abs(q_inf - q_exact) <= 1e-10
+    assert np.max(np.abs(deviations - exact)) <= 1e-10
+
+
+def test_deviation_profile_rejects_bad_input(asymmetric2):
+    xi = np.array([0.0, -LOG2])
+    with pytest.raises(ValueError):
+        deviation_profile(asymmetric2, 2.0, xi, np.zeros(2), (10.0,), t_max=5.0)
+    with pytest.raises(ValueError):
+        deviation_profile(asymmetric2, 2.0, xi, np.zeros(2), (-1.0, 10.0))
+    with pytest.raises(NoConvergence):
+        deviation_profile(asymmetric2, 2.001, xi, np.zeros(2), (10.0,))
+
 
 def test_dedrift_symmetric_zero_data(symmetric2):
     traj = solve_finite_horizon(Problem(symmetric2, np.zeros(2), horizon=5.0))
