@@ -8,7 +8,8 @@ in every file and column name. Outputs use LF line endings, '.'
 decimals with 17 significant digits, and are byte-identical across
 runs with identical inputs and seeds.
 
-Exit codes: 0 success, 2 input error, 3 solver failure, 4 method
+Exit codes: 0 success, 2 input error (a bad problem file or option, or
+an output that cannot be written), 3 solver failure, 4 method
 disagreement, 5 statistical mismatch, 6 asymptotics violation.
 """
 
@@ -100,14 +101,8 @@ def _csv(header: list[str], rows) -> str:
 
 
 def cmd_solve(args) -> int:
-    try:
-        problem, opts = _load(args.problem)
-    except ProblemFileError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
-    except ControlError as exc:
-        return _fail(EXIT_SOLVER, str(exc))
+    problem, opts = _load(args.problem)
+    traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
     header = ["t"] + [f"V_{i + 1}" for i in range(problem.costs.n_nodes)]
     rows = np.column_stack([traj.grid, traj.values])
     _write_text(args.output, _csv(header, rows))
@@ -121,15 +116,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_policy(args) -> int:
-    try:
-        problem, opts = _load(args.problem)
-    except ProblemFileError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
-        policy = extract_policy(problem, traj)
-    except ControlError as exc:
-        return _fail(EXIT_SOLVER, str(exc))
+    problem, opts = _load(args.problem)
+    traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
+    policy = extract_policy(problem, traj)
     model = problem.costs
     header = ["t"] + [
         f"lambda_{int(model.edge_src[e]) + 1}_{int(model.edge_dst[e]) + 1}"
@@ -140,8 +129,9 @@ def cmd_policy(args) -> int:
     return EXIT_OK
 
 
-def _ergodic_payload(model, opts: SolverOptions, method: str):
-    """Run the requested ergodic route(s); returns (payload, exit_code)."""
+def cmd_ergodic(args) -> int:
+    problem, opts = _load(args.problem)
+    model, method = problem.costs, args.method
     ladder = tuple(r for r in DISCOUNT_LADDER if r >= opts.r_min * (1.0 - 1e-12))
     if method in ("vanishing", "both") and len(ladder) < 2:
         raise ProblemFileError(
@@ -156,34 +146,14 @@ def _ergodic_payload(model, opts: SolverOptions, method: str):
         sol_v = solve_ergodic_vanishing_discount(model, ladder)
         sol = solve_ergodic_direct(model, opts.t_max)
         if abs(sol_v.gamma - sol.gamma) > 1e-5:
-            print(
-                f"error: ergodic constants disagree: vanishing-discount "
-                f"{sol_v.gamma!r}, direct {sol.gamma!r}",
-                file=sys.stderr,
-            )
-            return None, EXIT_DISAGREEMENT
+            return _fail(EXIT_DISAGREEMENT, f"ergodic constants disagree: vanishing-discount "
+                                            f"{sol_v.gamma!r}, direct {sol.gamma!r}")
     payload = {"gamma": sol.gamma, "xi": list(sol.xi)}
     if sol.q_infinity is not None:
         payload["q_infinity"] = sol.q_infinity
     payload["method"] = method
     payload["diagnostics"] = [list(row) for row in sol.diagnostics]
     payload["non_unique_corrector"] = sol.non_unique_corrector
-    return payload, EXIT_OK
-
-
-def cmd_ergodic(args) -> int:
-    try:
-        problem, opts = _load(args.problem)
-    except ProblemFileError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        payload, code = _ergodic_payload(problem.costs, opts, args.method)
-    except ProblemFileError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except ControlError as exc:
-        return _fail(EXIT_SOLVER, str(exc))
-    if payload is None:
-        return code
     _write_text(args.output, _json_text(payload) + "\n")
     return EXIT_OK
 
@@ -193,16 +163,10 @@ def cmd_simulate(args) -> int:
         return _fail(EXIT_INPUT, f"--paths must be at least 1, got {args.paths}")
     if args.seed < 0:
         return _fail(EXIT_INPUT, f"--seed must be nonnegative, got {args.seed}")
-    try:
-        problem, opts = _load(args.problem)
-    except ProblemFileError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
-        policy = extract_policy(problem, traj)
-        report = simulate(problem, policy, 0, args.paths, args.seed)
-    except ControlError as exc:
-        return _fail(EXIT_SOLVER, str(exc))
+    problem, opts = _load(args.problem)
+    traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
+    policy = extract_policy(problem, traj)
+    report = simulate(problem, policy, 0, args.paths, args.seed)
     reference = float(traj.values[0, 0])
     try:
         z = estimate_value_gap(report, reference)
@@ -231,20 +195,11 @@ def cmd_asymptotics(args) -> int:
         return _fail(EXIT_INPUT, "--horizons needs positive finite values")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         return _fail(EXIT_INPUT, "--horizons must be strictly increasing")
-    try:
-        problem, opts = _load(args.problem)
-        _require_window(opts)
-    except ProblemFileError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    problem, opts = _load(args.problem)
+    _require_window(opts)
     # the expansion describes the undiscounted flow; the file's discount is unused
-    model = problem.costs
-    try:
-        sol = solve_ergodic_direct(model, opts.t_max)
-        deviations = deviation_profile(
-            model, sol.gamma, sol.xi, problem.terminal_payoff, horizons, opts.t_max,
-            min(opts.rtol, 1e-10), min(opts.atol, 1e-12))[1].tolist()
-    except ControlError as exc:
-        return _fail(EXIT_SOLVER, str(exc))
+    deviations = deviation_profile(problem.costs, problem.terminal_payoff, horizons, opts.t_max,
+                                   min(opts.rtol, 1e-10), min(opts.atol, 1e-12))[1].tolist()
     _write_text(args.output, _csv(["T", "deviation"], zip(horizons, deviations)))
     for prev, cur in zip(deviations, deviations[1:]):
         if cur > prev + 1e-8:
@@ -295,13 +250,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; input errors, an unwritable output included, exit 2."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_INPUT
-        return EXIT_INPUT if code not in (0,) else EXIT_OK
-    return args.func(args)
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    try:
+        return args.func(args)
+    except (ProblemFileError, OSError) as exc:
+        return _fail(EXIT_INPUT, str(exc))
+    except ControlError as exc:
+        return _fail(EXIT_SOLVER, str(exc))
 
 
 def entrypoint() -> None:

@@ -254,86 +254,96 @@ def _check_window(t_max: float) -> None:
         raise ValueError(f"t_max must be at least {MIN_T_MAX:g}, got {t_max}")
 
 
-def _settled_limit(grid: np.ndarray, q: np.ndarray) -> float | None:
-    """The final q, or None while the tail from half the window on moves by 1e-6 or more."""
-    mid = int(np.searchsorted(grid, 0.5 * grid[-1]))
-    return float(q[-1]) if abs(q[-1] - q[mid]) < 1e-6 else None
+def _q_series(grid: np.ndarray, vhat: np.ndarray, xi: np.ndarray,
+              t_max: float) -> tuple[np.ndarray, float | None]:
+    """q(t) = max_i (vhat_i(t) - xi_i) on the grid, and its limit.
+
+    The limit is q(t_max), or None while q still moves by 1e-6 or more
+    from t_max / 2 on.
+    """
+    q = np.max(vhat - xi, axis=1)
+    mid, end = np.searchsorted(grid, (0.5 * t_max, t_max))
+    return q, float(q[end]) if abs(q[end] - q[mid]) < 1e-6 else None
+
+
+def _ergodic_flow(model: CostModel, z0: np.ndarray, grid: np.ndarray, t_max: float,
+                  rtol: float, atol: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """Ergodic pair from the undiscounted flow dz/dt = H(z), z(0) = z0.
+
+    A preliminary sweep over [0, 20] supplies a drift gamma0, and the
+    flow is integrated over the grid (which holds 0, t_max / 4,
+    t_max / 2 and t_max) as y = z - gamma0 t, which keeps error control
+    on the right scale; H reads only differences, so the substitution
+    is exact. gamma is the growth of node 0 over the second half of
+    [0, t_max], which must be within 1e-6 of its growth over the second
+    quarter, and xi is the spread at t_max; both are Newton-refined.
+    Returns gamma, xi, the refinement residual and the rows
+    vhat = z - gamma t on the grid.
+    """
+
+    def drifting(_t, y):
+        return model.hamiltonian_vector(y)
+
+    pre, _ = integrate_grid(drifting, np.array([0.0, 10.0, 20.0]), z0, 1e-8, 1e-10)
+    gamma0 = float(pre[2, 0] - pre[1, 0]) / 10.0
+
+    def dedrifted(_t, y):
+        return model.hamiltonian_vector(y) - gamma0
+
+    ys, _ = integrate_grid(dedrifted, grid, z0, rtol, atol)
+    quarter, mid, end = np.searchsorted(grid, (0.25 * t_max, 0.5 * t_max, t_max))
+    gamma_est = gamma0 + float(ys[end, 0] - ys[mid, 0]) / float(grid[end] - grid[mid])
+    gamma_prev = gamma0 + float(ys[mid, 0] - ys[quarter, 0]) / float(grid[mid] - grid[quarter])
+    if abs(gamma_est - gamma_prev) > 1e-6:
+        raise NoConvergence(
+            f"drift estimate not stabilized: {gamma_prev} at half window, {gamma_est} at full"
+        )
+    gamma, xi, resid = _refine_ergodic(model, gamma_est, ys[end] - ys[end, 0])
+    return gamma, xi, resid, ys + (gamma0 - gamma) * grid[:, None]
 
 
 def solve_ergodic_direct(model: CostModel, t_max: float = 200.0,
                          rtol: float = 1e-10, atol: float = 1e-12) -> ErgodicSolution:
     """Ergodic pair from one long undiscounted integration.
 
-    Integrates the forward flow started from zero terminal data and
-    estimates gamma from the growth of node 0 over the second half of
-    the window, cross-checked against the first half; xi from the final
-    spread. To keep error control on the right scale the integration
-    is performed on the de-drifted variable (a cheap preliminary sweep
-    supplies the drift to subtract; the substitution is exact). The
-    de-drifted trajectory also yields the decreasing gap q(t) and its
-    limit, recorded as diagnostics.
+    Integrates the flow from zero terminal data over a grid of at
+    least 257 points on [0, t_max]; gamma comes from the growth of
+    node 0 and xi from the final spread (see _ergodic_flow). The
+    de-drifted rows also yield the decreasing gap q(t) and its limit,
+    recorded as diagnostics.
     """
     _check_window(t_max)
     grid = np.linspace(0.0, t_max, max(256, math.ceil(8.0 * t_max)) + 1)
-    n = model.n_nodes
-
-    def drifting(_t, y):
-        return model.hamiltonian_vector(y)
-
-    pre = np.array([0.0, 10.0, 20.0])
-    rows, _ = integrate_grid(drifting, pre, np.zeros(n), 1e-8, 1e-10)
-    gamma0 = float(rows[2, 0] - rows[1, 0]) / 10.0
-
-    def dedrifted(_t, y):
-        return model.hamiltonian_vector(y) - gamma0
-
-    ys, _ = integrate_grid(dedrifted, grid, np.zeros(n), rtol, atol)
-
-    mid = int(np.searchsorted(grid, 0.5 * t_max))
-    quarter = int(np.searchsorted(grid, 0.25 * t_max))
-    gamma_est = gamma0 + float(ys[-1, 0] - ys[mid, 0]) / float(grid[-1] - grid[mid])
-    gamma_prev = gamma0 + float(ys[mid, 0] - ys[quarter, 0]) / float(grid[mid] - grid[quarter])
-    if abs(gamma_est - gamma_prev) > 1e-6:
-        raise NoConvergence(
-            f"drift estimate not stabilized: {gamma_prev} at half window, {gamma_est} at full"
-        )
-    xi_est = ys[-1] - ys[-1, 0]
-    gamma, xi, resid = _refine_ergodic(model, gamma_est, xi_est)
-
-    vhat = ys + (gamma0 - gamma) * grid[:, None]
-    q = np.max(vhat - xi, axis=1)
-    diags = np.column_stack([grid, q])
-    return ErgodicSolution(gamma, xi, ErgodicMethod.DIRECT_LONG_TIME, diags,
-                           _settled_limit(grid, q), not model.strict_monotone, resid)
+    gamma, xi, resid, vhat = _ergodic_flow(model, np.zeros(model.n_nodes), grid, t_max,
+                                           rtol, atol)
+    q, q_inf = _q_series(grid, vhat, xi, t_max)
+    return ErgodicSolution(gamma, xi, ErgodicMethod.DIRECT_LONG_TIME, np.column_stack([grid, q]),
+                           q_inf, not model.strict_monotone, resid)
 
 
-def deviation_profile(model: CostModel, gamma: float, xi: np.ndarray, payoff: np.ndarray,
-                      horizons, t_max: float = 200.0, rtol: float = 1e-10,
-                      atol: float = 1e-12) -> tuple[float, np.ndarray]:
-    """q-limit of the de-drifted flow and each horizon's deviation from it.
+def deviation_profile(model: CostModel, payoff: np.ndarray, horizons, t_max: float = 200.0,
+                      rtol: float = 1e-10, atol: float = 1e-12) -> tuple[float, np.ndarray]:
+    """q-limit of the flow from the payoff and each horizon's deviation from it.
 
-    Integrates dz/dt = H(z) - gamma once from z(0) = payoff, landing
-    only on 0, t_max / 2, t_max and the horizons. H reads only
-    differences, so z(T) + gamma T is V(0) of the undiscounted
-    horizon-T problem, and its deviation from gamma T + xi + q_inf is
-    max_i |z_i(T) - xi_i - q_inf| exactly. q_inf = max_i (z_i - xi_i) at
-    t_max; NoConvergence if that moved by 1e-6 or more since t_max / 2.
-    Returns q_inf and the deviations in the order of the horizons.
+    One integration from z(0) = payoff (see _ergodic_flow) lands only
+    on 0, t_max / 4, t_max / 2, t_max and the horizons, and yields
+    gamma, xi and the rows vhat = z - gamma t. z(T) is V(0) of the
+    undiscounted horizon-T problem, so its deviation from
+    gamma T + xi + q_inf is max_i |vhat_i(T) - xi_i - q_inf| exactly.
+    q_inf = max_i (vhat_i - xi_i) at t_max; NoConvergence if that moved
+    by 1e-6 or more since t_max / 2. Returns q_inf and the deviations in
+    the order of the horizons.
     """
     _check_window(t_max)
-    grid = np.unique(np.concatenate([[0.0, 0.5 * t_max, t_max], horizons]))
+    grid = np.unique(np.concatenate([[0.0, 0.25 * t_max, 0.5 * t_max, t_max], horizons]))
     if not (grid[0] == 0.0 and grid[-1] < math.inf):  # np.unique sorts NaN last
         raise ValueError(f"horizons must be finite and nonnegative, got {horizons}")
-
-    def rhs(_t, z):
-        return model.hamiltonian_vector(z) - gamma
-
-    rows, _ = integrate_grid(rhs, grid, np.asarray(payoff, dtype=float), rtol, atol)
-    end = int(np.searchsorted(grid, t_max)) + 1
-    q_inf = _settled_limit(grid[:end], np.max(rows[:end] - xi, axis=1))
+    _, xi, _, vhat = _ergodic_flow(model, np.asarray(payoff, dtype=float), grid, t_max,
+                                   rtol, atol)
+    _, q_inf = _q_series(grid, vhat, xi, t_max)
     if q_inf is None:
         raise NoConvergence(f"deviation offset not stabilized over [0, {t_max}]")
-    at = rows[np.searchsorted(grid, horizons)]
+    at = vhat[np.searchsorted(grid, horizons)]
     return q_inf, np.max(np.abs(at - xi - q_inf), axis=1)
 
 
@@ -377,15 +387,13 @@ def q_diagnostic(series: DedriftedSeries, xi: np.ndarray,
     The reported limit is the final value, flagged unconverged when the
     tail (from half the window on) still moves by 1e-6 or more.
     """
-    xi = np.asarray(xi, dtype=float)
-    q = np.max(series.values - xi, axis=1)
+    q, q_inf = _q_series(series.grid, series.values, xi, series.grid[-1])
     rises = np.diff(q)
     worst = int(np.argmax(rises))
     if rises[worst] > step_slack:
         raise MonotonicityViolation(
             f"q rose by {rises[worst]:.3e} between t = {series.grid[worst]} and its successor"
         )
-    q_inf = _settled_limit(series.grid, q)
     return QDiagnostic(series.grid.copy(), q, q_inf, q_inf is not None)
 
 

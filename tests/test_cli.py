@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ctmcontrol import (
+    NoConvergence,
     ProblemFileError,
     parse_problem_file,
     serialize_problem_file,
@@ -301,22 +302,21 @@ def test_asymptotics_symmetric_flat(tmp_path):
 
 
 def test_asymptotics_violation_exit_code(tmp_path, capsys, monkeypatch):
-    real = cli.solve_ergodic_direct
+    def stalled(*args, **kwargs):
+        raise NoConvergence("deviation offset not stabilized")
 
-    def skewed(model, t_max=200.0, **kwargs):
-        sol = real(model, t_max, **kwargs)
-        import dataclasses
-        return dataclasses.replace(sol, gamma=sol.gamma + 1e-3)
-
-    monkeypatch.setattr(cli, "solve_ergodic_direct", skewed)
+    monkeypatch.setattr(cli, "deviation_profile", stalled)
     out = tmp_path / "asym.csv"
-    code = main(["asymptotics", "problems/symmetric2.json", str(out),
-                 "--horizons", "2,4"])
-    err = capsys.readouterr().err
-    # a wrong growth rate either trips the q stabilization check (3) or
-    # makes the deviation grow with the horizon (6)
-    assert code in (3, 6)
-    assert "error:" in err
+    args = ["asymptotics", "problems/symmetric2.json", str(out), "--horizons", "2,4"]
+    assert main(args) == 3
+    assert "error: deviation offset not stabilized" in capsys.readouterr().err
+
+    def rising(*args, **kwargs):
+        return 0.0, np.array([1e-3, 2e-3])
+
+    monkeypatch.setattr(cli, "deviation_profile", rising)
+    assert main(args) == 6
+    assert "deviation rose" in capsys.readouterr().err
 
 
 def test_asymptotics_rejects_bad_horizons(tmp_path, capsys):
@@ -384,3 +384,32 @@ def test_step_budget_exhaustion_is_solver_failure(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(ode, "_MAX_STEPS", 5)
     assert main(["solve", "problems/ring3.json", str(tmp_path / "o.csv")]) == 3
     assert "step budget" in capsys.readouterr().err
+
+
+# one error boundary for every subcommand
+
+SUBCOMMANDS = (
+    ("solve",), ("policy",), ("ergodic",),
+    ("simulate", "--paths", "200", "--seed", "5"),
+    ("asymptotics", "--horizons", "2,4"),
+)
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out")
+    for command, *extra in SUBCOMMANDS:
+        assert main([command, "problems/symmetric2.json", out, *extra]) == 2, command
+        err = capsys.readouterr().err
+        assert "error:" in err and out in err
+    assert main(["solve", "problems/symmetric2.json", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_bad_solver_option_is_input_error(tmp_path, capsys):
+    doc = json.loads(read("problems/ring3.json"))
+    doc["solver"]["rtol"] = 0
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    for command, *extra in SUBCOMMANDS:
+        assert main([command, str(src), str(tmp_path / "out"), *extra]) == 2, command
+        assert "rtol" in capsys.readouterr().err

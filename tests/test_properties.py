@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctmcontrol import CostFamily, CostModel, EdgeCost, build_graph
-from ctmcontrol.stationary import deviation_profile
+from ctmcontrol.stationary import deviation_profile, solve_ergodic_direct
 
 from oracles import cole_hopf
 
@@ -37,7 +37,18 @@ def entropic_rings(draw):
 def test_deviation_profile_matches_cole_hopf(instance):
     model, payoff = instance
     gamma, xi, q_exact, values = cole_hopf(model, payoff, HORIZONS)
-    q_inf, deviations = deviation_profile(model, gamma, xi, payoff, HORIZONS)
+    q_inf, deviations = deviation_profile(model, payoff, HORIZONS)
     exact = [np.max(np.abs(v - gamma * t - xi - q_exact)) for v, t in zip(values, HORIZONS)]
     assert abs(q_inf - q_exact) <= 1e-10
     assert np.max(np.abs(deviations - exact)) <= 1e-10
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(entropic_rings())
+def test_direct_route_matches_cole_hopf(instance):
+    model, _ = instance
+    gamma, xi, q_exact, _ = cole_hopf(model, np.zeros(model.n_nodes), ())
+    sol = solve_ergodic_direct(model)
+    assert abs(sol.gamma - gamma) <= 1e-10
+    assert np.max(np.abs(sol.xi - xi)) <= 1e-10
+    assert abs(sol.q_infinity - q_exact) <= 1e-10

@@ -191,7 +191,7 @@ def test_deviation_profile_keeps_horizon_order(asymmetric2):
     payoff = np.array([0.3, -0.2])
     horizons = (5.0, 1.0, 300.0)
     gamma, xi, q_exact, values = cole_hopf(asymmetric2, payoff, horizons)
-    q_inf, deviations = deviation_profile(asymmetric2, gamma, xi, payoff, horizons)
+    q_inf, deviations = deviation_profile(asymmetric2, payoff, horizons)
     exact = [np.max(np.abs(v - gamma * t - xi - q_exact)) for v, t in zip(values, horizons)]
     assert exact[1] > 1e-3
     assert abs(q_inf - q_exact) <= 1e-10
@@ -199,13 +199,20 @@ def test_deviation_profile_keeps_horizon_order(asymmetric2):
 
 
 def test_deviation_profile_rejects_bad_input(asymmetric2):
-    xi = np.array([0.0, -LOG2])
     with pytest.raises(ValueError):
-        deviation_profile(asymmetric2, 2.0, xi, np.zeros(2), (10.0,), t_max=5.0)
+        deviation_profile(asymmetric2, np.zeros(2), (10.0,), t_max=5.0)
     with pytest.raises(ValueError):
-        deviation_profile(asymmetric2, 2.0, xi, np.zeros(2), (-1.0, 10.0))
-    with pytest.raises(NoConvergence):
-        deviation_profile(asymmetric2, 2.001, xi, np.zeros(2), (10.0,))
+        deviation_profile(asymmetric2, np.zeros(2), (-1.0, 10.0))
+
+
+def test_long_time_routes_reject_unsettled_drift():
+    # rates of 0.01 and 0.02 mix too slowly for the growth rate to settle
+    # by t_max = 10; unequal rates keep zero data off the stationary flow
+    slow = two_node_model(scale_12=0.01, scale_21=0.02)
+    with pytest.raises(NoConvergence, match="drift estimate not stabilized"):
+        solve_ergodic_direct(slow, t_max=10.0)
+    with pytest.raises(NoConvergence, match="drift estimate not stabilized"):
+        deviation_profile(slow, np.array([0.0, 1.0]), (10.0,), t_max=10.0)
 
 
 def test_dedrift_symmetric_zero_data(symmetric2):
