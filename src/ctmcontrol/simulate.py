@@ -99,43 +99,29 @@ def _compress(problem: Problem, policy: Policy) -> list[_NodeRuns]:
     model = problem.costs
     horizon = problem.horizon
     if policy.mode is PolicyMode.STATIONARY:
-        if policy.intensities.shape != (model.n_edges,):
-            raise PolicyGridMismatch(
-                f"stationary table has shape {policy.intensities.shape}, "
-                f"expected ({model.n_edges},)"
-            )
-        rows = policy.intensities[None, :]
-        boundaries = [np.array([0.0, horizon])] * model.n_nodes
-        starts = [np.array([0])] * model.n_nodes
+        # a stationary policy is a one-run schedule over the horizon
+        grid, rows = np.array([0.0, horizon]), policy.intensities[None]
+    elif policy.grid is None:
+        raise PolicyGridMismatch("time-varying policy carries no grid")
     else:
-        if policy.grid is None:
-            raise PolicyGridMismatch("time-varying policy carries no grid")
-        if policy.intensities.shape[1] != model.n_edges:
-            raise PolicyGridMismatch(
-                f"policy table has {policy.intensities.shape[1]} columns, "
-                f"model has {model.n_edges} edges"
-            )
-        if policy.grid[0] != 0.0 or policy.grid[-1] != horizon:
-            raise PolicyGridMismatch(
-                f"policy grid spans [{policy.grid[0]}, {policy.grid[-1]}], "
-                f"problem horizon is [0, {horizon}]"
-            )
         # interval k = (t_k, t_{k+1}] is governed by row k+1
-        rows = policy.intensities[1:]
-        boundaries = None
-        starts = None
+        grid, rows = policy.grid, policy.intensities[1:]
+    if rows.shape[1] != model.n_edges:
+        raise PolicyGridMismatch(
+            f"policy table has {rows.shape[1]} columns, model has {model.n_edges} edges"
+        )
+    if grid[0] != 0.0 or grid[-1] != horizon:
+        raise PolicyGridMismatch(
+            f"policy grid spans [{grid[0]}, {grid[-1]}], problem horizon is [0, {horizon}]"
+        )
 
     tables = []
     for i in range(model.n_nodes):
         sl = model.node_slice(i)
         node_rows = rows[:, sl]
-        if starts is None:
-            changed = np.any(node_rows[1:] != node_rows[:-1], axis=1)
-            start_idx = np.concatenate([[0], np.flatnonzero(changed) + 1])
-            times = np.concatenate([policy.grid[start_idx], [horizon]])
-        else:
-            start_idx = starts[i]
-            times = boundaries[i]
+        changed = np.any(node_rows[1:] != node_rows[:-1], axis=1)
+        start_idx = np.concatenate([[0], np.flatnonzero(changed) + 1])
+        times = np.concatenate([grid[start_idx], [horizon]])
         lam = node_rows[start_idx]
         reward = -np.sum(model.cost_terms(lam, sl), axis=1)
         tables.append(_NodeRuns(times, lam, reward, model.edge_dst[sl],

@@ -150,10 +150,11 @@ class ErgodicSolution:
 
     diagnostics holds per-stage convergence evidence: (discount,
     max_i |r u_i - gamma|) rows for the vanishing-discount route,
-    (t, q(t)) rows for the direct route. q_infinity is only available
-    from the direct route, and only when its tail has stabilized.
-    non_unique_corrector flags models whose Hamiltonian is not strictly
-    increasing, where xi is meaningful but not unique up to constants.
+    (t, q(t)) rows at t = 0, t_max / 4, t_max / 2 and t_max for the
+    direct route. q_infinity is only available from the direct route,
+    and only when its tail has stabilized. non_unique_corrector flags
+    models whose Hamiltonian is not strictly increasing, where xi is
+    meaningful but not unique up to constants.
     """
 
     gamma: float
@@ -249,11 +250,6 @@ def solve_ergodic_vanishing_discount(
                            None, not model.strict_monotone, resid)
 
 
-def _check_window(t_max: float) -> None:
-    if not (t_max >= MIN_T_MAX and math.isfinite(t_max)):
-        raise ValueError(f"t_max must be at least {MIN_T_MAX:g}, got {t_max}")
-
-
 def _q_series(grid: np.ndarray, vhat: np.ndarray, xi: np.ndarray,
               t_max: float) -> tuple[np.ndarray, float | None]:
     """q(t) = max_i (vhat_i(t) - xi_i) on the grid, and its limit.
@@ -266,20 +262,25 @@ def _q_series(grid: np.ndarray, vhat: np.ndarray, xi: np.ndarray,
     return q, float(q[end]) if abs(q[end] - q[mid]) < 1e-6 else None
 
 
-def _ergodic_flow(model: CostModel, z0: np.ndarray, grid: np.ndarray, t_max: float,
-                  rtol: float, atol: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons, t_max: float, rtol: float,
+                  atol: float) -> tuple[np.ndarray, float, np.ndarray, float, np.ndarray]:
     """Ergodic pair from the undiscounted flow dz/dt = H(z), z(0) = z0.
 
-    A preliminary sweep over [0, 20] supplies a drift gamma0, and the
-    flow is integrated over the grid (which holds 0, t_max / 4,
-    t_max / 2 and t_max) as y = z - gamma0 t, which keeps error control
-    on the right scale; H reads only differences, so the substitution
-    is exact. gamma is the growth of node 0 over the second half of
-    [0, t_max], which must be within 1e-6 of its growth over the second
-    quarter, and xi is the spread at t_max; both are Newton-refined.
-    Returns gamma, xi, the refinement residual and the rows
-    vhat = z - gamma t on the grid.
+    The flow lands only on 0, t_max / 4, t_max / 2, t_max and the
+    horizons. A preliminary sweep over [0, 20] supplies a drift gamma0,
+    and the flow is integrated as y = z - gamma0 t, which keeps error
+    control on the right scale; H reads only differences, so the
+    substitution is exact. gamma is the growth of node 0 over the second
+    half of [0, t_max], which must be within 1e-6 of its growth over the
+    second quarter, and xi is the spread at t_max; both are
+    Newton-refined. Returns the grid, gamma, xi, the refinement residual
+    and the rows vhat = z - gamma t on the grid.
     """
+    if not (t_max >= MIN_T_MAX and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be at least {MIN_T_MAX:g}, got {t_max}")
+    grid = np.unique(np.concatenate([[0.0, 0.25 * t_max, 0.5 * t_max, t_max], horizons]))
+    if not (grid[0] == 0.0 and grid[-1] < math.inf):  # np.unique sorts NaN last
+        raise ValueError(f"horizons must be finite and nonnegative, got {horizons}")
 
     def drifting(_t, y):
         return model.hamiltonian_vector(y)
@@ -299,23 +300,22 @@ def _ergodic_flow(model: CostModel, z0: np.ndarray, grid: np.ndarray, t_max: flo
             f"drift estimate not stabilized: {gamma_prev} at half window, {gamma_est} at full"
         )
     gamma, xi, resid = _refine_ergodic(model, gamma_est, ys[end] - ys[end, 0])
-    return gamma, xi, resid, ys + (gamma0 - gamma) * grid[:, None]
+    return grid, gamma, xi, resid, ys + (gamma0 - gamma) * grid[:, None]
 
 
 def solve_ergodic_direct(model: CostModel, t_max: float = 200.0,
                          rtol: float = 1e-10, atol: float = 1e-12) -> ErgodicSolution:
     """Ergodic pair from one long undiscounted integration.
 
-    Integrates the flow from zero terminal data over a grid of at
-    least 257 points on [0, t_max]; gamma comes from the growth of
-    node 0 and xi from the final spread (see _ergodic_flow). The
-    de-drifted rows also yield the decreasing gap q(t) and its limit,
-    recorded as diagnostics.
+    Integrates the flow from zero terminal data, landing only on 0,
+    t_max / 4, t_max / 2 and t_max; gamma comes from the growth of node
+    0 and xi from the final spread (see _ergodic_flow). The diagnostics
+    are the (t, q(t)) rows at those four times, and q(t_max) is the
+    limit of the decreasing gap q once it has settled. A finer q(t)
+    series is q_diagnostic's job.
     """
-    _check_window(t_max)
-    grid = np.linspace(0.0, t_max, max(256, math.ceil(8.0 * t_max)) + 1)
-    gamma, xi, resid, vhat = _ergodic_flow(model, np.zeros(model.n_nodes), grid, t_max,
-                                           rtol, atol)
+    grid, gamma, xi, resid, vhat = _ergodic_flow(model, np.zeros(model.n_nodes), (), t_max,
+                                                 rtol, atol)
     q, q_inf = _q_series(grid, vhat, xi, t_max)
     return ErgodicSolution(gamma, xi, ErgodicMethod.DIRECT_LONG_TIME, np.column_stack([grid, q]),
                            q_inf, not model.strict_monotone, resid)
@@ -334,12 +334,8 @@ def deviation_profile(model: CostModel, payoff: np.ndarray, horizons, t_max: flo
     by 1e-6 or more since t_max / 2. Returns q_inf and the deviations in
     the order of the horizons.
     """
-    _check_window(t_max)
-    grid = np.unique(np.concatenate([[0.0, 0.25 * t_max, 0.5 * t_max, t_max], horizons]))
-    if not (grid[0] == 0.0 and grid[-1] < math.inf):  # np.unique sorts NaN last
-        raise ValueError(f"horizons must be finite and nonnegative, got {horizons}")
-    _, xi, _, vhat = _ergodic_flow(model, np.asarray(payoff, dtype=float), grid, t_max,
-                                   rtol, atol)
+    grid, _, xi, _, vhat = _ergodic_flow(model, np.asarray(payoff, dtype=float), horizons,
+                                         t_max, rtol, atol)
     _, q_inf = _q_series(grid, vhat, xi, t_max)
     if q_inf is None:
         raise NoConvergence(f"deviation offset not stabilized over [0, {t_max}]")

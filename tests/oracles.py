@@ -1,11 +1,11 @@
 """Independent oracles: brute-force and exact routes that share no solver code.
 
 Four routes cross-check the library: a lambda-grid maximizer that
-never touches the closed-form conjugates, an explicit-Euler backward
-march that never touches the adaptive integrator, a long-time Euler
-relaxation for stationary values, and the exact Cole-Hopf solution of
-all-entropic undiscounted models. Tests freeze expected values from
-these, or call them directly where the instance is random.
+never touches the closed-form conjugates, a fixed-step classical RK4
+backward march that never touches the adaptive integrator, a long-time
+Euler relaxation for stationary values, and the exact Cole-Hopf
+solution of all-entropic undiscounted models. Tests freeze expected
+values from these, or call them directly where the instance is random.
 """
 
 import math
@@ -42,20 +42,28 @@ def grid_max_hamiltonian(model, node, p, lam_max=60.0, n_grid=2_000_001):
     return float(np.sum(best_val)), best_lam
 
 
-def euler_backward(problem, n_steps=100_000):
-    """Explicit-Euler dynamic program for the backward value equation.
+def rk4_backward(problem, n_steps=1000):
+    """Fixed-step classical RK4 for the backward value equation.
 
-    Marches W(s) for s = T - t from W(0) = g with fixed step T/n_steps
-    using dW/ds = H(W) - r W, and returns the value vector at s = T
-    (that is, V at time 0). First-order accurate; with 1e5 steps the
-    error on desk-scale instances is well under 1e-4.
+    Marches W(s) for s = T - t from W(0) = g with step T/n_steps using
+    dW/ds = H(W) - r W, and returns the value vector at s = T (that is,
+    V at time 0). Fourth-order accurate; with 1000 steps on desk-scale
+    instances it is within about 1e-10 of a tight adaptive solve.
     """
     model = problem.costs
+    r = problem.discount
+
+    def f(w):
+        return model.hamiltonian_vector(w) - r * w
+
     h = problem.horizon / n_steps
     w = np.asarray(problem.terminal_payoff, dtype=float).copy()
-    r = problem.discount
     for _ in range(n_steps):
-        w = w + h * (model.hamiltonian_vector(w) - r * w)
+        k1 = f(w)
+        k2 = f(w + 0.5 * h * k1)
+        k3 = f(w + 0.5 * h * k2)
+        k4 = f(w + h * k3)
+        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return w
 
 

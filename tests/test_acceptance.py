@@ -34,7 +34,7 @@ from ctmcontrol.stationary import DedriftedSeries
 from ctmcontrol.fixtures import random_model
 
 from conftest import two_node_model
-from oracles import euler_backward
+from oracles import rk4_backward
 
 LOG2 = math.log(2.0)
 
@@ -194,9 +194,9 @@ def test_criterion_08_oracle_equivalence():
         problem = Problem(model, g, horizon=1.0,
                           discount=float(rng.uniform(0.0, 1.0)))
         traj = solve_finite_horizon(problem)
-        ref = euler_backward(problem, n_steps=100_000)
+        ref = rk4_backward(problem, n_steps=1000)
         worst = max(worst, float(np.max(np.abs(traj.values[0] - ref))))
-    assert worst <= 1e-4
+    assert worst <= 1e-8
     print(f"ACCEPTANCE 8: PASS (worst oracle gap {worst:.2e} over 10 instances)")
 
 

@@ -20,7 +20,7 @@ from ctmcontrol import (
 from ctmcontrol.fixtures import random_model
 
 from conftest import two_node_model
-from oracles import euler_backward, symmetric_discounted_value
+from oracles import cole_hopf, symmetric_discounted_value
 
 
 def test_output_grid_sizes():
@@ -47,12 +47,12 @@ def test_symmetric_discounted_closed_form(symmetric2):
     assert np.max(np.abs(traj.values - expected)) < 1e-8
 
 
-def test_solve_matches_euler_oracle():
+def test_solve_matches_cole_hopf():
     model = two_node_model(scale_12=2.0, scale_21=1.0)
-    problem = Problem(model, np.array([0.0, 1.0]), horizon=1.0)
-    traj = solve_finite_horizon(problem)
-    ref = euler_backward(problem)
-    assert np.max(np.abs(traj.values[0] - ref)) < 1e-4
+    g = np.array([0.0, 1.0])
+    traj = solve_finite_horizon(Problem(model, g, horizon=1.0))
+    _, _, _, (exact,) = cole_hopf(model, g, (1.0,))
+    assert np.max(np.abs(traj.values[0] - exact)) <= 1e-10
 
 
 def test_terminal_row_bitwise():

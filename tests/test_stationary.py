@@ -215,6 +215,14 @@ def test_long_time_routes_reject_unsettled_drift():
         deviation_profile(slow, np.array([0.0, 1.0]), (10.0,), t_max=10.0)
 
 
+def test_deviation_profile_rejects_unsettled_offset():
+    # at rates of 0.1 the growth rate settles by t_max = 10 but the gap q,
+    # started 2e-5 off the corrector, still moves by more than 1e-6
+    slow = two_node_model(scale_12=0.1, scale_21=0.1)
+    with pytest.raises(NoConvergence, match="deviation offset not stabilized"):
+        deviation_profile(slow, np.array([0.0, 2e-5]), (10.0,), t_max=10.0)
+
+
 def test_dedrift_symmetric_zero_data(symmetric2):
     traj = solve_finite_horizon(Problem(symmetric2, np.zeros(2), horizon=5.0))
     series = dedrift(traj, 1.0)
