@@ -163,6 +163,8 @@ def cmd_simulate(args) -> int:
         return _fail(EXIT_INPUT, f"--paths must be at least 1, got {args.paths}")
     if args.seed < 0:
         return _fail(EXIT_INPUT, f"--seed must be nonnegative, got {args.seed}")
+    if args.seed >= 1 << 128:
+        return _fail(EXIT_INPUT, f"--seed must be below 2^128, got {args.seed}")
     problem, opts = _load(args.problem)
     traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
     policy = extract_policy(problem, traj)

@@ -120,9 +120,10 @@ class CostModel:
 
     # vectorized kernels over flat edge arrays; shapes broadcast over
     # leading axes so a whole trajectory of slopes can be mapped at once,
-    # and ``edges`` restricts them to a slice of the flat order
+    # and ``edges`` restricts them to a slice (or an index array) of the
+    # flat order
 
-    def _params(self, edges: slice | None):
+    def _params(self, edges: slice | np.ndarray | None):
         if edges is None:
             return self.scale, self.shift, self.entropic
         return self.scale[edges], self.shift[edges], self.entropic[edges]
@@ -151,7 +152,8 @@ class CostModel:
         quad = scale * np.maximum(q, 0.0)
         return np.where(entropic, ent, quad)
 
-    def cost_terms(self, lam_flat: np.ndarray, edges: slice | None = None) -> np.ndarray:
+    def cost_terms(self, lam_flat: np.ndarray,
+                   edges: slice | np.ndarray | None = None) -> np.ndarray:
         """Edge running costs l(lam), with l(0) = 0 for both families."""
         scale, shift, entropic = self._params(edges)
         lam = np.asarray(lam_flat, dtype=float)

@@ -1,16 +1,18 @@
 """Independent oracles: brute-force and exact routes that share no solver code.
 
-Four routes cross-check the library: a lambda-grid maximizer that
+Five routes cross-check the library: a lambda-grid maximizer that
 never touches the closed-form conjugates, a fixed-step classical RK4
 backward march that never touches the adaptive integrator, a long-time
-Euler relaxation for stationary values, and the exact Cole-Hopf
-solution of all-entropic undiscounted models. Tests freeze expected
-values from these, or call them directly where the instance is random.
+Euler relaxation for stationary values, the exact Cole-Hopf solution
+of all-entropic undiscounted models, and a one-path-at-a-time exact
+sampler beside the batched one. Tests freeze expected values from
+these, or call them directly where the instance is random.
 """
 
 import math
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 
 def grid_max_hamiltonian(model, node, p, lam_max=60.0, n_grid=2_000_001):
@@ -137,3 +139,82 @@ def cole_hopf(model, payoff, horizons):
     xi = np.log(r) - math.log(r[0])
     q_inf = math.log(r[0] * float(ell @ eg) / float(ell @ r))
     return gamma, xi, q_inf, [_log_expm_apply(t * k, eg) for t in horizons]
+
+
+def _node_runs(problem, policy, i):
+    """Node i's runs of constant intensity row, as a dict of arrays."""
+    model = problem.costs
+    horizon = problem.horizon
+    if policy.grid is None:
+        grid, rows = np.array([0.0, horizon]), policy.intensities[None]
+    else:
+        grid, rows = policy.grid, policy.intensities[1:]
+    sl = model.node_slice(i)
+    node_rows = rows[:, sl]
+    changed = np.any(node_rows[1:] != node_rows[:-1], axis=1)
+    start_idx = np.concatenate([[0], np.flatnonzero(changed) + 1])
+    times = np.concatenate([grid[start_idx], [horizon]])
+    lam = node_rows[start_idx]
+    cumlam = np.cumsum(lam, axis=1)
+    rate = cumlam[:, -1].copy()
+    reward = -np.sum(model.cost_terms(lam, sl), axis=1)
+    spans = np.diff(times)
+    r = problem.discount
+    if r == 0.0:
+        pieces = reward * spans
+    else:
+        decay = np.exp(-r * times)
+        pieces = reward * (decay[:-1] - decay[1:]) / r
+    return {"times": times, "cumlam": cumlam, "rate": rate, "reward": reward,
+            "cumhaz": np.concatenate([[0.0], np.cumsum(rate * spans)]),
+            "cumrew": np.concatenate([[0.0], np.cumsum(pieces)]),
+            "dst": model.edge_dst[sl]}
+
+
+def _weight(r, a, b):
+    if r == 0.0:
+        return b - a
+    return (math.exp(-r * a) - math.exp(-r * b)) / r
+
+
+def _path_value(problem, tables, start, rng):
+    r = problem.discount
+    horizon = problem.horizon
+    node, t, total = start, 0.0, 0.0
+    while True:
+        runs = tables[node]
+        times, cumhaz, rate = runs["times"], runs["cumhaz"], runs["rate"]
+        p = max(int(np.searchsorted(times, t, side="left")) - 1, 0)
+        target = float(cumhaz[p] + rate[p] * (t - times[p])) - math.log1p(-rng.random())
+        q = int(np.searchsorted(cumhaz, target, side="right")) - 1
+        if q >= len(rate) or target >= cumhaz[-1]:
+            t_jump, kb = horizon, len(rate) - 1
+        else:
+            t_jump, kb = min(times[q] + (target - cumhaz[q]) / rate[q], horizon), q
+        head = runs["reward"][p] * _weight(r, float(times[p]), t)
+        tail = runs["reward"][kb] * _weight(r, t_jump, float(times[kb + 1]))
+        total += float(runs["cumrew"][kb + 1] - runs["cumrew"][p]) - head - tail
+        if t_jump >= horizon:
+            break
+        u = rng.random() * rate[q]
+        edge = min(int(np.searchsorted(runs["cumlam"][q], u, side="right")),
+                   len(runs["dst"]) - 1)
+        node, t = int(runs["dst"][edge]), t_jump
+    return total + math.exp(-r * horizon) * float(problem.terminal_payoff[node])
+
+
+def scalar_path_values(problem, policy, start, n_paths, seed):
+    """Path values of the exact sampler, one path and one Generator at a time.
+
+    Path p draws from Generator(Philox(key=seed, counter=[0, p, 0, 0])):
+    per jump one uniform inverts the piecewise-linear cumulative hazard
+    of the current node's run schedule and one picks the edge, and the
+    sojourn that reaches the horizon takes one. The per-node schedule is
+    compressed here, without the library's flat schedule.
+    """
+    tables = [_node_runs(problem, policy, i) for i in range(problem.costs.n_nodes)]
+    return np.array([
+        _path_value(problem, tables, start,
+                    Generator(Philox(key=seed, counter=[0, p, 0, 0])))
+        for p in range(n_paths)
+    ])

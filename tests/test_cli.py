@@ -271,6 +271,20 @@ def test_simulate_rejects_bad_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_seed_range(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "problems/asymmetric2.json", str(out),
+                 "--paths", "500", "--seed", str(1 << 128)]) == 2
+    assert "2^128" in capsys.readouterr().err
+    assert not out.exists()
+    # seeds in [2^64, 2^128) fill the second key word
+    low, high = tmp_path / "low.json", tmp_path / "high.json"
+    for path, seed in ((low, 5), (high, (1 << 64) + 5)):
+        assert main(["simulate", "problems/asymmetric2.json", str(path),
+                     "--paths", "500", "--seed", str(seed)]) == 0
+    assert json.loads(read(low))["mean"] != json.loads(read(high))["mean"]
+
+
 def test_simulate_statistical_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     real = cli.solve_finite_horizon
 

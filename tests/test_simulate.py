@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from ctmcontrol import (
     CostFamily,
@@ -19,9 +20,10 @@ from ctmcontrol import (
     solve_finite_horizon,
     solve_stationary,
 )
-from ctmcontrol.simulate import _compress, _path_value
+from ctmcontrol.simulate import _CHUNK, _uniforms
 
 from conftest import random_models, two_node_model
+from oracles import scalar_path_values
 
 
 def unit_policy():
@@ -76,21 +78,64 @@ def test_path_prefix_independent_of_count(symmetric2):
     short = simulate(problem, unit_policy(), 0, 50, seed=4, keep_paths=True)
     long = simulate(problem, unit_policy(), 0, 100, seed=4, keep_paths=True)
     assert np.array_equal(short.path_values, long.path_values[:50])
+    # a prefix that ends inside the second chunk of paths
+    crossing = simulate(problem, unit_policy(), 0, _CHUNK + 50, seed=4, keep_paths=True)
+    longer = simulate(problem, unit_policy(), 0, 2 * _CHUNK + 7, seed=4, keep_paths=True)
+    assert np.array_equal(crossing.path_values, longer.path_values[:_CHUNK + 50])
+    assert np.array_equal(crossing.path_values[:100], long.path_values)
 
 
-def test_holding_times_are_exponential(symmetric2):
-    problem = Problem(symmetric2, np.zeros(2), horizon=20.0)
-    tables = _compress(problem, unit_policy())
-    sojourns = []
-    rng = np.random.default_rng(5)
-    for _ in range(8000):
-        log = []
-        _path_value(problem, tables, 0, rng, jump_log=log)
-        if log:
-            sojourns.append(log[0][0])
-    mean = np.mean(sojourns)
-    se = np.std(sojourns, ddof=1) / math.sqrt(len(sojourns))
-    assert abs(mean - 1.0) <= 3.0 * se
+def test_holding_times_are_exponential():
+    # node 0 earns reward 1 per unit time until its Exp(1) jump to node
+    # 1, which never leaves and earns nothing: each value is min(tau, 20)
+    problem = Problem(two_node_model(), np.zeros(2), horizon=20.0)
+    policy = Policy(PolicyMode.STATIONARY, np.array([1.0, 0.0]))
+    n = 8000
+    values = simulate(problem, policy, 0, n, seed=5, keep_paths=True).path_values
+    mean = np.mean(values)
+    se = np.std(values, ddof=1) / math.sqrt(n)
+    assert abs(mean - (1.0 - math.exp(-20.0))) <= 3.0 * se
+    # Kolmogorov-Smirnov distance to the Exp(1) law (1% critical value)
+    cdf = -np.expm1(-np.sort(values))
+    ranks = np.arange(1, n + 1) / n
+    distance = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n)))
+    assert distance <= 1.63 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 1, 2**64 + 5, 2**128 - 1])
+def test_uniforms_match_numpy_philox(seed):
+    # 13 draws cross three four-word blocks of each path's stream
+    paths = np.array([0, 1, 1023, 1024, 2**33], dtype=np.uint64)
+    draws = _uniforms(seed, paths, 0, 13)
+    for p, row in zip(paths, draws):
+        stream = Generator(Philox(key=seed, counter=[0, int(p), 0, 0]))
+        assert np.array_equal(row, stream.random(13))
+    assert np.array_equal(_uniforms(seed, paths, 6, 7), draws[:, 6:])
+
+
+@pytest.mark.parametrize("r", [0.0, 0.7])
+def test_batched_paths_match_scalar_oracle(r):
+    n_paths = _CHUNK + 3
+    for k, (rng, model) in enumerate(random_models(17)):
+        n_edges = model.n_edges
+        problem = Problem(model, rng.normal(size=model.n_nodes), horizon=1.0, discount=r)
+        # tables with zero intensities and repeated rows exercise absorbing
+        # runs, zero-rate runs and run compression
+        stationary = Policy(PolicyMode.STATIONARY,
+                            rng.uniform(0.0, 2.0, n_edges) * (rng.random(n_edges) > 0.25))
+        table = rng.uniform(0.0, 2.0, (17, n_edges)) * (rng.random((17, n_edges)) > 0.25)
+        table[5:9] = table[5]
+        varying = Policy(PolicyMode.TIME_VARYING, table, np.linspace(0.0, 1.0, 17))
+        for policy in (stationary, varying):
+            batched = simulate(problem, policy, 0, n_paths, seed=k, keep_paths=True)
+            expected = scalar_path_values(problem, policy, 0, n_paths, k)
+            assert np.array_equal(batched.path_values, expected)
+    # about twenty jumps a path, so every path refills its draws
+    problem = Problem(two_node_model(scale_12=4.0), np.array([0.0, 1.0]), horizon=20.0,
+                      discount=r)
+    busy = simulate(problem, unit_policy(), 1, n_paths, seed=3, keep_paths=True)
+    assert np.array_equal(busy.path_values,
+                          scalar_path_values(problem, unit_policy(), 1, n_paths, 3))
 
 
 def test_z_scores_cover_at_three_sigma(asymmetric2):
@@ -115,6 +160,9 @@ def test_time_varying_policy_grid_checks(symmetric2):
     wrong_cols = Policy(PolicyMode.STATIONARY, np.ones(3))
     with pytest.raises(PolicyGridMismatch):
         simulate(problem, wrong_cols, 0, 10, seed=0)
+    backwards = Policy(PolicyMode.TIME_VARYING, np.ones((4, 2)), np.array([0.0, 0.8, 0.3, 1.0]))
+    with pytest.raises(PolicyGridMismatch, match="decrease"):
+        simulate(problem, backwards, 0, 10, seed=0)
 
 
 def test_simulate_argument_validation(symmetric2):
@@ -125,6 +173,8 @@ def test_simulate_argument_validation(symmetric2):
         simulate(problem, unit_policy(), 0, 0, seed=0)
     with pytest.raises(ValueError):
         simulate(problem, unit_policy(), 0, 10, seed=-1)
+    with pytest.raises(ValueError, match=r"2\^128"):
+        simulate(problem, unit_policy(), 0, 10, seed=1 << 128)
 
 
 def test_stationary_evaluation_closed_form(symmetric2):
