@@ -17,7 +17,6 @@ from .costs import (
     CostModel,
     EdgeCost,
     PropertyCheck,
-    PVector,
     ValidationReport,
     cost,
     hamiltonian,
@@ -88,7 +87,6 @@ __all__ = [
     "CostModel",
     "EdgeCost",
     "PropertyCheck",
-    "PVector",
     "ValidationReport",
     "cost",
     "hamiltonian",

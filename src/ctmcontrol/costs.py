@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -75,8 +75,7 @@ class CostModel:
             raise ValueError(f"costs given for edges not in the graph: {extra[:4]}")
 
         self.graph = graph
-        self.edge_costs = {e: edge_costs[e] for e in expected}
-        costs = list(self.edge_costs.values())
+        costs = [edge_costs[e] for e in expected]
         self.edge_src = np.array([i for i, _ in expected], dtype=np.intp)
         self.edge_dst = np.array([j for _, j in expected], dtype=np.intp)
         self.scale = np.array([c.scale for c in costs], dtype=float)
@@ -195,26 +194,8 @@ class CostModel:
         return q
 
 
-@dataclass(frozen=True)
-class PVector:
-    """Slope vector attached to a node, ordered like its neighbor list."""
-
-    node: int
-    values: np.ndarray = field(repr=False)
-
-    def validate(self, graph: Graph) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (graph.degree(self.node),):
-            raise ValueError(
-                f"slope vector has shape {v.shape}, node {self.node} has degree {graph.degree(self.node)}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("slope vector has non-finite entries")
-
-
 def _node_array(model: CostModel, i: int, p, name: str) -> np.ndarray:
-    values = getattr(p, "values", p)
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(p, dtype=float)
     deg = model.graph.degree(i)
     if arr.shape != (deg,):
         raise ValueError(f"{name} has shape {arr.shape}, node {i} has degree {deg}")
@@ -263,7 +244,7 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def validate_assumptions(model: CostModel, sample_budget: int = 1000) -> ValidationReport:
+def validate_assumptions(model: CostModel) -> ValidationReport:
     """Sampled checks of the structural assumptions the solvers rely on.
 
     Probes, over random slope and intensity samples: finiteness of the
@@ -272,98 +253,71 @@ def validate_assumptions(model: CostModel, sample_budget: int = 1000) -> Validat
     intensities. Strict monotonicity is asserted when every edge is
     entropic; for a purely quadratic model the check runs and reports
     its failure with a witness; for mixed models it is not asserted.
+    Each check draws its samples as one (samples, edges) array, up to
+    1000 rows, so memory is a few such float arrays; its witness is the
+    first failing sample.
     """
-    if sample_budget < 100:
-        raise ValueError(f"sample_budget must be at least 100, got {sample_budget}")
     rng = np.random.default_rng(20240817)
-    n = model.n_nodes
+    samples, m = 1000, model.n_edges
     checks: list[PropertyCheck] = []
 
-    def random_slopes():
-        return rng.uniform(-3.0, 3.0, size=model.n_edges)
+    def node_h(p):
+        return model._node_sum(model.conjugate_terms(p))
+
+    def record(name: str, bad: np.ndarray, witness) -> None:
+        """Add a check failing at the first sample k with a bad entry; witness(k) tells it."""
+        rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
+        checks.append(PropertyCheck(name, rows.size == 0,
+                                    witness(int(rows[0])) if rows.size else None))
+
+    def at_worst(score: np.ndarray, **entries: np.ndarray) -> dict:
+        """The node with the highest score, and each entry there."""
+        i = int(np.argmax(score))
+        return {"node": i, **{key: float(row[i]) for key, row in entries.items()}}
 
     # finiteness of L at positive intensities
-    ok, witness = True, None
-    for _ in range(sample_budget // 10):
-        lam = rng.uniform(0.0, 10.0, size=model.n_edges)
-        vals = model.cost_terms(lam)
-        if not np.all(np.isfinite(vals)):
-            ok, witness = False, {"lam": lam.tolist()}
-            break
-    checks.append(PropertyCheck("finite_cost", ok, witness))
+    lam = rng.uniform(0.0, 10.0, size=(samples // 10, m))
+    record("finite_cost", ~np.isfinite(model.cost_terms(lam)), lambda k: {"lam": lam[k].tolist()})
 
     # midpoint convexity of each node Hamiltonian in the slopes
-    ok, witness = True, None
-    for _ in range(sample_budget):
-        p, q = random_slopes(), random_slopes()
-        hp = model._node_sum(model.conjugate_terms(p))
-        hq = model._node_sum(model.conjugate_terms(q))
-        hm = model._node_sum(model.conjugate_terms(0.5 * (p + q)))
-        gap = hm - 0.5 * (hp + hq)
-        if np.any(gap > 1e-10 * (1.0 + np.abs(hp) + np.abs(hq))):
-            i = int(np.argmax(gap))
-            ok, witness = False, {"node": i, "gap": float(gap[i])}
-            break
-    checks.append(PropertyCheck("convexity", ok, witness))
+    p, q = rng.uniform(-3.0, 3.0, size=(2, samples, m))
+    hp, hq = node_h(p), node_h(q)
+    gap = node_h(0.5 * (p + q)) - 0.5 * (hp + hq)
+    record("convexity", gap > 1e-10 * (1.0 + np.abs(hp) + np.abs(hq)),
+           lambda k: at_worst(gap[k], gap=gap[k]))
 
     # coordinatewise monotonicity: p <= p' implies H <= H'
-    ok, witness = True, None
-    for _ in range(sample_budget):
-        p = random_slopes()
-        q = p + rng.uniform(0.0, 2.0, size=model.n_edges)
-        hp = model._node_sum(model.conjugate_terms(p))
-        hq = model._node_sum(model.conjugate_terms(q))
-        if np.any(hp > hq + 1e-12 * (1.0 + np.abs(hq))):
-            i = int(np.argmax(hp - hq))
-            ok, witness = False, {"node": i, "drop": float(hp[i] - hq[i])}
-            break
-    checks.append(PropertyCheck("monotone", ok, witness))
+    p = rng.uniform(-3.0, 3.0, size=(samples, m))
+    hp, hq = node_h(p), node_h(p + rng.uniform(0.0, 2.0, size=(samples, m)))
+    drop = hp - hq
+    record("monotone", drop > 1e-12 * (1.0 + np.abs(hq)),
+           lambda k: at_worst(drop[k], drop=drop[k]))
 
     # strictness: raising any single slope must raise H at its source
-    families = set(model.entropic.tolist())
-    if model.strict_monotone or families == {False}:
-        ok, witness = True, None
-        for _ in range(sample_budget):
-            p = random_slopes()
-            e = int(rng.integers(model.n_edges))
-            q = p.copy()
-            q[e] += rng.uniform(0.1, 1.0)
-            i = int(model.edge_src[e])
-            sl = model.node_slice(i)
-            hp = hamiltonian(model, i, p[sl])
-            hq = hamiltonian(model, i, q[sl])
-            if not hq > hp:
-                ok = False
-                witness = {"edge": (int(model.edge_src[e]), int(model.edge_dst[e])), "slope": float(p[e])}
-                break
-        checks.append(PropertyCheck("strict_monotone", ok, witness))
+    if model.strict_monotone or not model.entropic.any():
+        rows = np.arange(samples)
+        p = rng.uniform(-3.0, 3.0, size=(samples, m))
+        e = rng.integers(m, size=samples)
+        q = p.copy()
+        q[rows, e] += rng.uniform(0.1, 1.0, size=samples)
+        src = model.edge_src[e]
+        record("strict_monotone", ~(node_h(q)[rows, src] > node_h(p)[rows, src]),
+               lambda k: {"edge": (int(src[k]), int(model.edge_dst[e[k]])),
+                          "slope": float(p[k, e[k]])})
     else:
         checks.append(PropertyCheck("strict_monotone", None, None))
 
     # running cost bounded below by the closed-form floor
-    ok, witness = True, None
     floor = model.cost_floor
-    for _ in range(sample_budget):
-        lam = rng.uniform(0.0, 20.0, size=model.n_edges)
-        vals = model.running_cost_vector(lam)
-        if np.any(vals < floor - 1e-12 * (1.0 + np.abs(floor))):
-            i = int(np.argmin(vals - floor))
-            ok, witness = False, {"node": i, "value": float(vals[i]), "floor": float(floor[i])}
-            break
-    checks.append(PropertyCheck("bounded_below", ok, witness))
+    vals = model.running_cost_vector(rng.uniform(0.0, 20.0, size=(samples, m)))
+    record("bounded_below", vals < floor - 1e-12 * (1.0 + np.abs(floor)),
+           lambda k: at_worst(floor - vals[k], value=vals[k], floor=floor))
 
     # superlinearity: L(c lam) / (c |lam|) grows without bound in c
-    ok, witness = True, None
-    for _ in range(max(10, sample_budget // 100)):
-        lam = rng.uniform(0.5, 2.0, size=model.n_edges)
-        ratios = []
-        for c in (1e2, 1e4, 1e6):
-            vals = model.running_cost_vector(c * lam)
-            ratios.append(vals / (c * np.max(lam)))
-        r = np.stack(ratios)
-        if not (np.all(r[1] > r[0]) and np.all(r[2] > r[1])):
-            ok, witness = False, {"ratios": r[:, 0].tolist()}
-            break
-    checks.append(PropertyCheck("superlinear", ok, witness))
+    lam = rng.uniform(0.5, 2.0, size=(samples // 100, m))
+    top = np.max(lam, axis=1, keepdims=True)
+    r = np.stack([model.running_cost_vector(c * lam) / (c * top) for c in (1e2, 1e4, 1e6)])
+    record("superlinear", ~((r[1] > r[0]) & (r[2] > r[1])),
+           lambda k: {"ratios": r[:, k, 0].tolist()})
 
     return ValidationReport(tuple(checks))

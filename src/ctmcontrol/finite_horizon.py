@@ -50,10 +50,6 @@ class Problem:
         if not (self.discount >= 0.0 and math.isfinite(self.discount)):
             raise ValueError(f"discount must be nonnegative and finite, got {self.discount}")
 
-    @property
-    def graph(self):
-        return self.costs.graph
-
 
 def output_grid(horizon: float) -> np.ndarray:
     """Uniform output grid: max(256, ceil(64 T)) intervals on [0, T]."""
@@ -199,23 +195,21 @@ class ComparisonReport:
 
     max_violation: float
     satisfied: bool
-    tolerance: float
 
 
-def verify_comparison(problem: Problem, g_low: np.ndarray, g_high: np.ndarray,
-                      horizon: float, tolerance: float = 1e-8) -> ComparisonReport:
+def verify_comparison(problem: Problem, g_low: np.ndarray,
+                      g_high: np.ndarray) -> ComparisonReport:
     """Solve twice and check order propagation from the terminal data.
 
     With g_low <= g_high coordinatewise, the low solution must stay
-    below the high one at every grid point up to the tolerance. The
-    report carries the largest observed violation.
+    below the high one at every grid point of the problem's horizon, up
+    to 1e-8. The report carries the largest observed violation.
     """
     low = np.asarray(g_low, dtype=float)
     high = np.asarray(g_high, dtype=float)
     if np.any(low > high):
         raise ValueError("g_low must be <= g_high coordinatewise")
-    base = replace(problem, horizon=horizon)
-    traj_low = solve_finite_horizon(replace(base, terminal_payoff=low))
-    traj_high = solve_finite_horizon(replace(base, terminal_payoff=high))
+    traj_low = solve_finite_horizon(replace(problem, terminal_payoff=low))
+    traj_high = solve_finite_horizon(replace(problem, terminal_payoff=high))
     violation = float(np.max(traj_low.values - traj_high.values))
-    return ComparisonReport(violation, violation <= tolerance, tolerance)
+    return ComparisonReport(violation, violation <= 1e-8)

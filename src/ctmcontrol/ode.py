@@ -3,11 +3,10 @@
 Dormand-Prince 5(4) pair with the classic PI step-size controller
 (Hairer-Norsett-Wanner style: accept when the weighted RMS of the
 embedded error estimate is below one, step factor err**-0.17 damped by
-the previous error to the 0.04). Two drivers share the stepper:
-
-  integrate_endpoint  free adaptive stepping, returns the final state
-  integrate_grid      steps land exactly on every requested grid point,
-                 so recorded values carry no interpolation error
+the previous error to the 0.04). One driver, integrate_grid, lands
+steps exactly on every requested grid point, so recorded values carry
+no interpolation error; a caller that wants only the final state passes
+the grid [t0, t_end] and reads the last row.
 
 Grid landing clamps the proposed step, never the controller's memory,
 so step statistics still reflect genuine error control. A step below
@@ -81,109 +80,83 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol) -> float:
         return min(100.0 * h0, h1, span)
 
 
-class _Stepper:
-    """Carries the controller state across targets of one integration."""
-
-    def __init__(self, f: Callable, t0: float, y0: np.ndarray, t_end: float,
-                 rtol: float, atol: float):
-        self.f = f
-        self.t = float(t0)
-        self.y = np.asarray(y0, dtype=float).copy()
-        self.t_end = float(t_end)
-        self.rtol = rtol
-        self.atol = atol
-        self.span = float(t_end) - float(t0)
-        if self.span <= 0.0:
-            raise ValueError(f"integration span must run forward, got [{t0}, {t_end}]")
-        self.k1 = f(self.t, self.y)
-        self.h = _initial_step(f, self.t, self.y, self.k1, self.span, rtol, atol)
-        self.facold = 1e-4
-        self.stats = StepStats()
-        self._nonfinite_last = False
-
-    def _step_once(self, h: float):
-        """One trial step of size h; returns (y_new, k7, err_norm)."""
-        f, t, y = self.f, self.t, self.y
-        # nonfinite stage values are detected and rejected below, so the
-        # overflow warnings they would raise along the way are suppressed
-        with np.errstate(invalid="ignore", over="ignore"):
-            k = np.empty((7, y.shape[0]))
-            k[0] = self.k1
-            for s in range(1, 6):
-                ys = y + h * (_A[s] @ k[:s])
-                k[s] = f(t + _C[s] * h, ys)
-            y5 = y + h * (_A[6] @ k[:6])
-            k[6] = f(t + h, y5)  # FSAL stage doubles as next step's k1
-            err = h * (_E @ k)
-            scale = self.atol + self.rtol * np.maximum(np.abs(y), np.abs(y5))
-            if not (np.all(np.isfinite(y5)) and np.all(np.isfinite(err))):
-                return y5, k[6], float("inf")
-            return y5, k[6], _error_norm(err, scale)
-
-    def advance_to(self, target: float) -> None:
-        """Step until t == target exactly (target assumed in [t, t_end])."""
-        while self.t < target:
-            remaining = target - self.t
-            h = min(self.h, remaining)
-            landing = h == remaining  # accepted step ends exactly on target
-            clamped = h < self.h
-            if h < 1e-14 * self.span:
-                if self._nonfinite_last:
-                    raise NumericOverflow(
-                        f"right-hand side non-finite near t = {self.t}; state out of range"
-                    )
-                raise StepSizeUnderflow(
-                    f"step {h} below 1e-14 of span {self.span} at t = {self.t}"
-                )
-            if self.stats.accepted + self.stats.rejected >= _MAX_STEPS:
-                raise NoConvergence(f"step budget of {_MAX_STEPS} exhausted at t = {self.t}")
-            y_new, k_last, err = self._step_once(h)
-            if not np.isfinite(err):
-                self._nonfinite_last = True
-                self.stats.rejected += 1
-                self.h = h * _MIN_FACTOR
-                continue
-            self._nonfinite_last = False
-            if err <= 1.0:
-                # PI growth factor; remembers the previous accepted error
-                fac = (max(err, 1e-10) ** _EXPO) / (self.facold ** _BETA)
-                fac = max(1.0 / _MAX_FACTOR, min(1.0 / _MIN_FACTOR, fac / _SAFETY))
-                h_next = h / fac
-                self.facold = max(err, 1e-4)
-                self.t = target if landing else self.t + h
-                self.y = y_new
-                self.k1 = k_last
-                self.stats.accepted += 1
-                # a clamped step must not shrink the controller's proposal
-                self.h = max(h_next, self.h) if clamped else h_next
-            else:
-                self.stats.rejected += 1
-                fac = (err ** _EXPO) / (self.facold ** _BETA)
-                self.h = h / min(1.0 / _MIN_FACTOR, fac / _SAFETY)
-
-
-def integrate_endpoint(f: Callable, t0: float, t_end: float, y0: np.ndarray,
-                       rtol: float, atol: float) -> tuple[np.ndarray, StepStats]:
-    """Integrate y' = f(t, y) from t0 to t_end, returning y(t_end)."""
-    stepper = _Stepper(f, t0, y0, t_end, rtol, atol)
-    stepper.advance_to(t_end)
-    return stepper.y, stepper.stats
+def _step_once(f: Callable, t: float, y: np.ndarray, k1: np.ndarray, h: float,
+               rtol: float, atol: float):
+    """One trial step of size h from (t, y); returns (y_new, k7, err_norm)."""
+    # nonfinite stage values are detected and rejected below, so the
+    # overflow warnings they would raise along the way are suppressed
+    with np.errstate(invalid="ignore", over="ignore"):
+        k = np.empty((7, y.shape[0]))
+        k[0] = k1
+        for s in range(1, 6):
+            ys = y + h * (_A[s] @ k[:s])
+            k[s] = f(t + _C[s] * h, ys)
+        y5 = y + h * (_A[6] @ k[:6])
+        k[6] = f(t + h, y5)  # FSAL stage doubles as next step's k1
+        err = h * (_E @ k)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        if not (np.all(np.isfinite(y5)) and np.all(np.isfinite(err))):
+            return y5, k[6], float("inf")
+        return y5, k[6], _error_norm(err, scale)
 
 
 def integrate_grid(f: Callable, grid: np.ndarray, y0: np.ndarray,
                    rtol: float, atol: float) -> tuple[np.ndarray, StepStats]:
-    """Integrate along an increasing grid, landing on every point.
+    """Integrate y' = f(t, y) along an increasing grid, landing on every point.
 
     Returns an array of shape (len(grid), len(y0)); row 0 is y0 itself,
-    bitwise.
+    bitwise, and the last row is y(grid[-1]).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] < 2 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing with at least two points")
     out = np.empty((grid.shape[0], np.asarray(y0).shape[0]))
     out[0] = y0
-    stepper = _Stepper(f, float(grid[0]), y0, float(grid[-1]), rtol, atol)
+    t = float(grid[0])
+    y = np.asarray(y0, dtype=float).copy()
+    span = float(grid[-1]) - t
+    k1 = f(t, y)
+    h_ctrl = _initial_step(f, t, y, k1, span, rtol, atol)
+    facold = 1e-4
+    stats = StepStats()
+    nonfinite_last = False
     for idx in range(1, grid.shape[0]):
-        stepper.advance_to(float(grid[idx]))
-        out[idx] = stepper.y
-    return out, stepper.stats
+        target = float(grid[idx])
+        while t < target:
+            remaining = target - t
+            h = min(h_ctrl, remaining)
+            landing = h == remaining  # accepted step ends exactly on target
+            clamped = h < h_ctrl
+            if h < 1e-14 * span:
+                if nonfinite_last:
+                    raise NumericOverflow(
+                        f"right-hand side non-finite near t = {t}; state out of range"
+                    )
+                raise StepSizeUnderflow(f"step {h} below 1e-14 of span {span} at t = {t}")
+            if stats.accepted + stats.rejected >= _MAX_STEPS:
+                raise NoConvergence(f"step budget of {_MAX_STEPS} exhausted at t = {t}")
+            y_new, k_last, err = _step_once(f, t, y, k1, h, rtol, atol)
+            if not np.isfinite(err):
+                nonfinite_last = True
+                stats.rejected += 1
+                h_ctrl = h * _MIN_FACTOR
+                continue
+            nonfinite_last = False
+            if err <= 1.0:
+                # PI growth factor; remembers the previous accepted error
+                fac = (max(err, 1e-10) ** _EXPO) / (facold ** _BETA)
+                fac = max(1.0 / _MAX_FACTOR, min(1.0 / _MIN_FACTOR, fac / _SAFETY))
+                h_next = h / fac
+                facold = max(err, 1e-4)
+                t = target if landing else t + h
+                y = y_new
+                k1 = k_last
+                stats.accepted += 1
+                # a clamped step must not shrink the controller's proposal
+                h_ctrl = max(h_next, h_ctrl) if clamped else h_next
+            else:
+                stats.rejected += 1
+                fac = (err ** _EXPO) / (facold ** _BETA)
+                h_ctrl = h / min(1.0 / _MIN_FACTOR, fac / _SAFETY)
+        out[idx] = y
+    return out, stats

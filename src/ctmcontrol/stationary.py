@@ -31,17 +31,21 @@ from .errors import (
     HypothesisUnmet,
     MonotonicityViolation,
     NoConvergence,
+    NumericOverflow,
     PreconditionUnmet,
     StrictnessViolation,
 )
 from .finite_horizon import ValueTrajectory
-from .ode import integrate_endpoint, integrate_grid
+from .ode import integrate_grid
 
 # the vanishing-discount sweep's default discounts, 2^-3 down to 2^-20
 DISCOUNT_LADDER = tuple(2.0 ** -n for n in range(3, 21))
 
 # shortest window the long-time integrations accept
 MIN_T_MAX = 10.0
+
+# tolerances of every long-time integration
+_RTOL, _ATOL = 1e-10, 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,8 @@ def _damped_newton(system, x: np.ndarray, tol, max_iter: int):
 
     Each step solves J d = -F, in least squares if J is singular, and
     halves the step length from 1 down to 2^-30 until the residual
-    drops. Stops when the residual is within tol(x), when no step
+    drops; a trial that overflows the kernels counts as one where it
+    does not. Stops when the residual is within tol(x), when no step
     length lowers it, or after max_iter accepted steps. Returns the
     last iterate, its residual and the number of accepted steps.
     """
@@ -78,7 +83,11 @@ def _damped_newton(system, x: np.ndarray, tol, max_iter: int):
         alpha = 1.0
         while alpha >= 2.0 ** -30:
             cand = x + alpha * delta
-            fc, jc = system(cand)
+            try:
+                fc, jc = system(cand)
+            except NumericOverflow:
+                alpha *= 0.5
+                continue
             fcn = _sup(fc)
             if np.isfinite(fcn) and fcn < fnorm:
                 break
@@ -131,7 +140,7 @@ def solve_stationary(model: CostModel, r: float, initial_guess: np.ndarray | Non
     for _ in range(400):
         if fnorm <= 1e-10 * (1.0 + _sup(u)):
             return StationaryValue(r, u, fnorm, iterations)
-        u, _ = integrate_endpoint(rhs, 0.0, 25.0, u, 1e-10, 1e-12)
+        u = integrate_grid(rhs, (0.0, 25.0), u, _RTOL, _ATOL)[0][-1]
         fnorm = _sup(rhs(0.0, u))
         if fnorm < 1e-6 * (1.0 + _sup(u)):
             u, fnorm, polish = _damped_newton(system, u, tol, 80)
@@ -178,12 +187,12 @@ def _ergodic_system(model: CostModel, z: np.ndarray):
     return model.hamiltonian_vector(xi) - z[0], jac
 
 
-def _refine_ergodic(model: CostModel, gamma0: float, xi0: np.ndarray,
-                    trust: float = 1e-3) -> tuple[float, np.ndarray, float]:
+def _refine_ergodic(model: CostModel, gamma0: float,
+                    xi0: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Newton-polish an ergodic estimate onto the equation.
 
     The seed must already be consistent: a polish that moves gamma or
-    xi by more than the trust radius means the estimator had not
+    xi by more than 1e-3 (1 + |gamma0|) means the estimator had not
     converged, which is reported as NoConvergence rather than silently
     accepting the polished root.
     """
@@ -196,7 +205,7 @@ def _refine_ergodic(model: CostModel, gamma0: float, xi0: np.ndarray,
         raise NoConvergence(f"ergodic refinement stalled at residual {fnorm}")
     gamma, xi = float(z[0]), np.concatenate([[0.0], z[1:]])
     moved = max(abs(gamma - gamma0), _sup(xi - xi0))
-    if moved > trust * (1.0 + abs(gamma0)):
+    if moved > 1e-3 * (1.0 + abs(gamma0)):
         raise NoConvergence(
             f"ergodic estimate moved {moved:.2e} under refinement; estimator had not converged"
         )
@@ -262,8 +271,8 @@ def _q_series(grid: np.ndarray, vhat: np.ndarray, xi: np.ndarray,
     return q, float(q[end]) if abs(q[end] - q[mid]) < 1e-6 else None
 
 
-def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons, t_max: float, rtol: float,
-                  atol: float) -> tuple[np.ndarray, float, np.ndarray, float, np.ndarray]:
+def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons,
+                  t_max: float) -> tuple[np.ndarray, float, np.ndarray, float, np.ndarray]:
     """Ergodic pair from the undiscounted flow dz/dt = H(z), z(0) = z0.
 
     The flow lands only on 0, t_max / 4, t_max / 2, t_max and the
@@ -278,8 +287,10 @@ def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons, t_max: float, rtol
     """
     if not (t_max >= MIN_T_MAX and math.isfinite(t_max)):
         raise ValueError(f"t_max must be at least {MIN_T_MAX:g}, got {t_max}")
-    grid = np.unique(np.concatenate([[0.0, 0.25 * t_max, 0.5 * t_max, t_max], horizons]))
-    if not (grid[0] == 0.0 and grid[-1] < math.inf):  # np.unique sorts NaN last
+    # np.sort and a mask of repeats, not np.unique, which imports numpy.ma
+    grid = np.sort(np.concatenate([[0.0, 0.25 * t_max, 0.5 * t_max, t_max], horizons]))
+    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
+    if not (grid[0] == 0.0 and grid[-1] < math.inf):  # np.sort puts NaN last
         raise ValueError(f"horizons must be finite and nonnegative, got {horizons}")
 
     def drifting(_t, y):
@@ -291,7 +302,7 @@ def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons, t_max: float, rtol
     def dedrifted(_t, y):
         return model.hamiltonian_vector(y) - gamma0
 
-    ys, _ = integrate_grid(dedrifted, grid, z0, rtol, atol)
+    ys, _ = integrate_grid(dedrifted, grid, z0, _RTOL, _ATOL)
     quarter, mid, end = np.searchsorted(grid, (0.25 * t_max, 0.5 * t_max, t_max))
     gamma_est = gamma0 + float(ys[end, 0] - ys[mid, 0]) / float(grid[end] - grid[mid])
     gamma_prev = gamma0 + float(ys[mid, 0] - ys[quarter, 0]) / float(grid[mid] - grid[quarter])
@@ -303,8 +314,7 @@ def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons, t_max: float, rtol
     return grid, gamma, xi, resid, ys + (gamma0 - gamma) * grid[:, None]
 
 
-def solve_ergodic_direct(model: CostModel, t_max: float = 200.0,
-                         rtol: float = 1e-10, atol: float = 1e-12) -> ErgodicSolution:
+def solve_ergodic_direct(model: CostModel, t_max: float = 200.0) -> ErgodicSolution:
     """Ergodic pair from one long undiscounted integration.
 
     Integrates the flow from zero terminal data, landing only on 0,
@@ -314,15 +324,14 @@ def solve_ergodic_direct(model: CostModel, t_max: float = 200.0,
     limit of the decreasing gap q once it has settled. A finer q(t)
     series is q_diagnostic's job.
     """
-    grid, gamma, xi, resid, vhat = _ergodic_flow(model, np.zeros(model.n_nodes), (), t_max,
-                                                 rtol, atol)
+    grid, gamma, xi, resid, vhat = _ergodic_flow(model, np.zeros(model.n_nodes), (), t_max)
     q, q_inf = _q_series(grid, vhat, xi, t_max)
     return ErgodicSolution(gamma, xi, ErgodicMethod.DIRECT_LONG_TIME, np.column_stack([grid, q]),
                            q_inf, not model.strict_monotone, resid)
 
 
-def deviation_profile(model: CostModel, payoff: np.ndarray, horizons, t_max: float = 200.0,
-                      rtol: float = 1e-10, atol: float = 1e-12) -> tuple[float, np.ndarray]:
+def deviation_profile(model: CostModel, payoff: np.ndarray, horizons,
+                      t_max: float = 200.0) -> tuple[float, np.ndarray]:
     """q-limit of the flow from the payoff and each horizon's deviation from it.
 
     One integration from z(0) = payoff (see _ergodic_flow) lands only
@@ -335,7 +344,7 @@ def deviation_profile(model: CostModel, payoff: np.ndarray, horizons, t_max: flo
     the order of the horizons.
     """
     grid, _, xi, _, vhat = _ergodic_flow(model, np.asarray(payoff, dtype=float), horizons,
-                                         t_max, rtol, atol)
+                                         t_max)
     _, q_inf = _q_series(grid, vhat, xi, t_max)
     if q_inf is None:
         raise NoConvergence(f"deviation offset not stabilized over [0, {t_max}]")
@@ -373,11 +382,10 @@ class QDiagnostic:
     converged: bool
 
 
-def q_diagnostic(series: DedriftedSeries, xi: np.ndarray,
-                 step_slack: float = 1e-9) -> QDiagnostic:
+def q_diagnostic(series: DedriftedSeries, xi: np.ndarray) -> QDiagnostic:
     """q(t) = max_i (vhat_i(t) - xi_i), checked to be nonincreasing.
 
-    Any increase beyond step_slack between successive grid points
+    Any increase beyond 1e-9 between successive grid points
     raises MonotonicityViolation: along the exact flow q only decreases,
     so growth signals solver inaccuracy or a wrong (gamma, xi) pair.
     The reported limit is the final value, flagged unconverged when the
@@ -386,7 +394,7 @@ def q_diagnostic(series: DedriftedSeries, xi: np.ndarray,
     q, q_inf = _q_series(series.grid, series.values, xi, series.grid[-1])
     rises = np.diff(q)
     worst = int(np.argmax(rises))
-    if rises[worst] > step_slack:
+    if rises[worst] > 1e-9:
         raise MonotonicityViolation(
             f"q rose by {rises[worst]:.3e} between t = {series.grid[worst]} and its successor"
         )
@@ -394,7 +402,7 @@ def q_diagnostic(series: DedriftedSeries, xi: np.ndarray,
 
 
 def semigroup_apply(model: CostModel, gamma: float, y: np.ndarray, t: float,
-                    rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+                    rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
     """Advance initial data y by time t along the de-drifted flow.
 
     Solves dz/dt = H(z) - gamma from z(0) = y. The family is a
@@ -415,8 +423,8 @@ def semigroup_apply(model: CostModel, gamma: float, y: np.ndarray, t: float,
         flat = model.hamiltonian_vector(z.reshape(y.shape)) - gamma
         return flat.reshape(-1)
 
-    z, _ = integrate_endpoint(rhs, 0.0, t, y.reshape(-1), rtol, atol)
-    return z.reshape(y.shape)
+    rows, _ = integrate_grid(rhs, (0.0, t), y.reshape(-1), rtol, atol)
+    return rows[-1].reshape(y.shape)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,24 @@ def two_node_model(scale_12=1.0, scale_21=1.0, shift_12=0.0, shift_21=0.0,
     })
 
 
+# (from, to, family, scale, shift) with 0-based nodes: stretched scales
+# on which a full Newton step from zero overflows exp in the kernels
+STRETCHED3_EDGES = (
+    (0, 1, "quadratic", 7.814, 0.02),
+    (0, 2, "entropic", 23.153, 2.73),
+    (1, 0, "quadratic", 0.011, -2.51),
+    (1, 2, "entropic", 0.014, 2.09),
+    (2, 0, "entropic", 136.496, 0.12),
+    (2, 1, "quadratic", 0.003, 0.16),
+)
+
+
+def stretched3_model():
+    graph = build_graph(3, [(i, j) for i, j, *_ in STRETCHED3_EDGES])
+    return CostModel(graph, {(i, j): EdgeCost(CostFamily(family), scale, shift)
+                             for i, j, family, scale, shift in STRETCHED3_EDGES})
+
+
 def ring_model(n_nodes=3, scale=1.0, family=CostFamily.ENTROPIC):
     edges = [(i, (i + 1) % n_nodes) for i in range(n_nodes)]
     graph = build_graph(n_nodes, edges)

@@ -2,10 +2,10 @@
 
 Five routes cross-check the library: a lambda-grid maximizer that
 never touches the closed-form conjugates, a fixed-step classical RK4
-backward march that never touches the adaptive integrator, a long-time
-Euler relaxation for stationary values, the exact Cole-Hopf solution
-of all-entropic undiscounted models, and a one-path-at-a-time exact
-sampler beside the batched one. Tests freeze expected values from
+backward march that never touches the adaptive integrator, a scalar
+bisection for the stationary values of an entropic pair, the exact
+Cole-Hopf solution of all-entropic undiscounted models, and a
+one-path-at-a-time exact sampler beside the batched one. Tests freeze expected values from
 these, or call them directly where the instance is random.
 """
 
@@ -69,18 +69,32 @@ def rk4_backward(problem, n_steps=1000):
     return w
 
 
-def euler_stationary(model, r, t_total=1000.0, n_steps=1_000_000):
-    """Stationary value by long-time explicit-Euler relaxation.
+def two_node_stationary(a01, a10, r):
+    """Stationary value of the entropic pair with scales a01 (0 -> 1), a10 (1 -> 0).
 
-    Integrates dW/ds = H(W) - r W from zero for t_total time units;
-    the flow contracts toward the stationary point at rate r, so the
-    remaining transient is of order e^{-r t_total} times the data size.
+    With zero shifts the equations read r u_0 = a01 e^d and
+    r u_1 = a10 e^-d for d = u_1 - u_0, so d solves
+    r d = a10 e^-d - a01 e^d. The difference of the two sides is
+    strictly increasing in d, and bisection halves its bracket until the
+    midpoint is one of the ends.
     """
-    h = t_total / n_steps
-    w = np.zeros(model.n_nodes)
-    for _ in range(n_steps):
-        w = w + h * (model.hamiltonian_vector(w) - r * w)
-    return w
+    def g(d):
+        return r * d + a01 * math.exp(d) - a10 * math.exp(-d)
+
+    lo, hi = -1.0, 1.0
+    while g(lo) > 0.0:
+        lo *= 2.0
+    while g(hi) < 0.0:
+        hi *= 2.0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    d = lo if abs(g(lo)) <= abs(g(hi)) else hi
+    return np.array([a01 * math.exp(d), a10 * math.exp(-d)]) / r
 
 
 def symmetric_discounted_value(r, t, horizon):

@@ -78,7 +78,7 @@ def test_criterion_03_comparison_principle_suite():
         g_low = rng.uniform(-1.0, 1.0, size=n)
         g_high = g_low + rng.uniform(0.0, 1.0, size=n)
         problem = Problem(model, g_low, horizon=1.0)
-        report = verify_comparison(problem, g_low, g_high, 1.0)
+        report = verify_comparison(problem, g_low, g_high)
         worst = max(worst, report.max_violation)
     assert worst <= 1e-8
     print(f"ACCEPTANCE 3: PASS (max violation {worst:.2e} over 50 instances)")
@@ -124,7 +124,7 @@ def test_criterion_05_q_monotone_convergence():
 
         rows, _ = integrate_grid(flow, grid, g, 1e-10, 1e-12)
         series = DedriftedSeries(grid, rows)
-        diag = q_diagnostic(series, sol.xi, step_slack=1e-9)
+        diag = q_diagnostic(series, sol.xi)
         worst_rise = max(worst_rise, float(np.max(np.diff(diag.q))))
         assert diag.converged
         worst_gap = max(worst_gap, float(

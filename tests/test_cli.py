@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from ctmcontrol import (
 )
 from ctmcontrol.cli import main
 import ctmcontrol.cli as cli
+from conftest import STRETCHED3_EDGES
 
 PROBLEMS = ("symmetric2.json", "asymmetric2.json", "quadratic2.json", "ring3.json")
 
@@ -225,6 +229,22 @@ def test_ergodic_quadratic_flags_non_uniqueness(tmp_path):
     assert doc["non_unique_corrector"] is True
 
 
+def test_ergodic_survives_overflowing_newton_trial(tmp_path):
+    # a full Newton step of the vanishing route overflows exp on this model
+    doc = {"nodes": 3, "terminal_payoff": [0, 0, 0], "horizon": 1,
+           "edges": [{"from": i + 1, "to": j + 1, "family": family, "scale": scale,
+                      "shift": shift} for i, j, family, scale, shift in STRETCHED3_EDGES]}
+    src = tmp_path / "stretched3.json"
+    src.write_text(json.dumps(doc))
+    # the default route runs both methods and checks that they agree
+    gammas = {}
+    for method in ("both", "vanishing"):
+        out = tmp_path / f"{method}.json"
+        assert main(["ergodic", str(src), str(out), "--method", method]) == 0, method
+        gammas[method] = json.loads(read(out))["gamma"]
+    assert abs(gammas["vanishing"] - gammas["both"]) <= 1e-10 * abs(gammas["both"])
+
+
 def test_ergodic_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     real = cli.solve_ergodic_direct
 
@@ -427,3 +447,21 @@ def test_bad_solver_option_is_input_error(tmp_path, capsys):
     for command, *extra in SUBCOMMANDS:
         assert main([command, str(src), str(tmp_path / "out"), *extra]) == 2, command
         assert "rtol" in capsys.readouterr().err
+
+
+def test_subcommands_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 1.3 MB of resident memory and none of the
+    # subcommands needs it; np.unique is one call that imports it
+    script = (
+        "import sys\n"
+        "from ctmcontrol.cli import main\n"
+        "seen = []\n"
+        f"for command, *extra in {SUBCOMMANDS!r}:\n"
+        f"    code = main([command, 'problems/asymmetric2.json', {str(tmp_path / 'out')!r}, *extra])\n"
+        "    seen.append((command, code, 'numpy.ma' in sys.modules))\n"
+        "print(seen)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.abspath("src")}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert run.stdout.splitlines()[-1] == repr([(c[0], 0, False) for c in SUBCOMMANDS])

@@ -165,7 +165,7 @@ def test_residual_flags_corrupted_row(symmetric2):
 
 def test_comparison_equal_data(symmetric2):
     problem = Problem(symmetric2, np.zeros(2), horizon=1.0)
-    report = verify_comparison(problem, np.zeros(2), np.zeros(2), 1.0)
+    report = verify_comparison(problem, np.zeros(2), np.zeros(2))
     assert report.satisfied
     assert report.max_violation == 0.0
 
@@ -175,7 +175,7 @@ def test_comparison_uniform_gap_is_preserved():
     model = random_model(rng, n_nodes=3, family="entropic")
     g = rng.uniform(-1.0, 1.0, size=3)
     problem = Problem(model, g, horizon=1.0)
-    report = verify_comparison(problem, g, g + 1.0, 1.0)
+    report = verify_comparison(problem, g, g + 1.0)
     assert report.satisfied
     assert abs(report.max_violation + 1.0) < 1e-9
 
@@ -186,7 +186,7 @@ def test_comparison_random_instance():
     g_low = rng.uniform(-1.0, 1.0, size=4)
     g_high = g_low + rng.uniform(0.0, 1.0, size=4)
     problem = Problem(model, g_low, horizon=1.0)
-    report = verify_comparison(problem, g_low, g_high, 1.0)
+    report = verify_comparison(problem, g_low, g_high)
     assert report.satisfied
     assert report.max_violation <= 1e-8
 
@@ -194,7 +194,7 @@ def test_comparison_random_instance():
 def test_comparison_rejects_misordered_data(symmetric2):
     problem = Problem(symmetric2, np.zeros(2), horizon=1.0)
     with pytest.raises(ValueError):
-        verify_comparison(problem, np.array([0.0, 1.0]), np.array([0.5, 0.5]), 1.0)
+        verify_comparison(problem, np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
 
 def test_problem_validation(symmetric2):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from ctmcontrol import NumericOverflow, StepSizeUnderflow
-from ctmcontrol.ode import integrate_endpoint, integrate_grid
+from ctmcontrol.ode import integrate_grid
 
 
 def test_exponential_decay_accuracy():
-    y, stats = integrate_endpoint(lambda t, y: -2.0 * y, 0.0, 1.0,
-                                  np.array([1.0]), 1e-8, 1e-10)
+    rows, stats = integrate_grid(lambda t, y: -2.0 * y, (0.0, 1.0),
+                                 np.array([1.0]), 1e-8, 1e-10)
+    y = rows[-1]
     assert abs(y[0] - math.exp(-2.0)) < 1e-8
     assert stats.accepted < 300
 
@@ -20,8 +21,9 @@ def test_harmonic_oscillator_round_trip():
     def f(t, y):
         return np.array([y[1], -y[0]])
 
-    y, stats = integrate_endpoint(f, 0.0, 2.0 * math.pi, np.array([1.0, 0.0]),
-                                  1e-9, 1e-11)
+    rows, stats = integrate_grid(f, (0.0, 2.0 * math.pi), np.array([1.0, 0.0]),
+                                 1e-9, 1e-11)
+    y = rows[-1]
     assert abs(y[0] - 1.0) < 1e-8
     assert abs(y[1]) < 1e-8
 
@@ -30,7 +32,8 @@ def test_tighter_tolerance_reduces_error():
     f = lambda t, y: np.array([math.cos(t) * y[0]])
     errors = []
     for rtol in (1e-5, 1e-8, 1e-11):
-        y, _ = integrate_endpoint(f, 0.0, 3.0, np.array([1.0]), rtol, rtol * 1e-2)
+        rows, _ = integrate_grid(f, (0.0, 3.0), np.array([1.0]), rtol, rtol * 1e-2)
+        y = rows[-1]
         errors.append(abs(y[0] - math.exp(math.sin(3.0))))
     assert errors[0] > errors[1] > errors[2]
 
@@ -64,16 +67,16 @@ def test_blowup_stops_with_diagnosis():
     # y' = y^2 from y(0) = 1 blows up at t = 1; the controller must halt
     # with one of the two failure diagnoses instead of looping forever
     with pytest.raises((NumericOverflow, StepSizeUnderflow)):
-        integrate_endpoint(lambda t, y: y * y, 0.0, 2.0, np.array([1.0]),
-                           1e-8, 1e-10)
+        integrate_grid(lambda t, y: y * y, (0.0, 2.0), np.array([1.0]),
+                       1e-8, 1e-10)
 
 
 def test_overflowing_rhs_reports_overflow():
     # exp(y) overflows float range immediately from y = 710, so every
     # trial step is nonfinite and the failure is a numeric overflow
     with np.errstate(over="ignore"), pytest.raises(NumericOverflow):
-        integrate_endpoint(lambda t, y: np.exp(y), 0.0, 1.0,
-                           np.array([710.0]), 1e-8, 1e-10)
+        integrate_grid(lambda t, y: np.exp(y), (0.0, 1.0),
+                       np.array([710.0]), 1e-8, 1e-10)
 
 
 def test_integrable_singularity_underflows_step():
@@ -82,7 +85,7 @@ def test_integrable_singularity_underflows_step():
         return np.array([1.0 / max(0.5 - t, 1e-300)])
 
     with pytest.raises((StepSizeUnderflow, NumericOverflow)):
-        integrate_endpoint(f, 0.0, 1.0, np.array([0.0]), 1e-10, 1e-12)
+        integrate_grid(f, (0.0, 1.0), np.array([0.0]), 1e-10, 1e-12)
 
 
 def test_stats_count_rejections():
@@ -90,11 +93,12 @@ def test_stats_count_rejections():
     def f(t, y):
         return np.array([1.0 if t < 0.3 else -50.0])
 
-    y, stats = integrate_endpoint(f, 0.0, 1.0, np.array([0.0]), 1e-10, 1e-12)
+    rows, stats = integrate_grid(f, (0.0, 1.0), np.array([0.0]), 1e-10, 1e-12)
+    y = rows[-1]
     assert stats.rejected >= 1
     assert abs(y[0] - (0.3 - 0.7 * 50.0)) < 1e-6
 
 
 def test_backward_time_span_rejected():
     with pytest.raises(ValueError):
-        integrate_endpoint(lambda t, y: -y, 1.0, 0.0, np.array([1.0]), 1e-8, 1e-10)
+        integrate_grid(lambda t, y: -y, (1.0, 0.0), np.array([1.0]), 1e-8, 1e-10)

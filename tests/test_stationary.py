@@ -10,10 +10,13 @@ from ctmcontrol import (
     HypothesisUnmet,
     MonotonicityViolation,
     NoConvergence,
+    Policy,
+    PolicyMode,
     PreconditionUnmet,
     Problem,
     check_strong_max_principle,
     dedrift,
+    evaluate_stationary_policy,
     q_diagnostic,
     semigroup_apply,
     solve_ergodic_direct,
@@ -25,8 +28,8 @@ from ctmcontrol import (
 from ctmcontrol.stationary import DedriftedSeries, _refine_ergodic, deviation_profile
 from ctmcontrol.fixtures import random_model
 
-from conftest import ring_model, two_node_model
-from oracles import cole_hopf, euler_stationary
+from conftest import ring_model, stretched3_model, two_node_model
+from oracles import cole_hopf, two_node_stationary
 
 LOG2 = math.log(2.0)
 
@@ -41,11 +44,13 @@ def test_stationary_symmetric_closed_form(symmetric2):
         assert sol.residual <= 1e-10 * (1.0 + np.max(np.abs(sol.u)))
 
 
-def test_stationary_matches_forward_euler_oracle():
-    model = two_node_model(scale_12=2.0, scale_21=1.0)
-    sol = solve_stationary(model, 0.1)
-    ref = euler_stationary(model, 0.1, t_total=200.0, n_steps=200_000)
-    assert np.max(np.abs(sol.u - ref)) < 1e-6
+def test_stationary_matches_two_node_oracle():
+    # the residual contract 1e-10 (1 + |u|), carried through
+    # ||(rI - Q)^-1|| <= 1/r, bounds the error in u
+    for a01, a10, r in ((2.0, 1.0, 0.1), (4.0, 1.0, 0.5), (1.0, 3.0, 2.0 ** -10)):
+        sol = solve_stationary(two_node_model(scale_12=a01, scale_21=a10), r)
+        ref = two_node_stationary(a01, a10, r)
+        assert np.max(np.abs(sol.u - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref))) / r
 
 
 def test_stationary_residual_invariant_random():
@@ -71,6 +76,19 @@ def test_stationary_fallback_settles_after_newton_stall():
     sol = solve_stationary(model, 0.5, max_iter=1)
     assert sol.residual <= 1e-10 * (1.0 + np.max(np.abs(sol.u)))
     assert np.max(np.abs(sol.u - ref.u)) <= 1e-12 * (1.0 + np.max(np.abs(ref.u)))
+
+
+def test_stationary_survives_overflowing_newton_trial():
+    # the first full Newton step from zero overflows exp; the line search
+    # must halve it instead of ending the solve
+    model = stretched3_model()
+    for r in (2.0 ** -5, 2.0 ** -10):
+        sol = solve_stationary(model, r)
+        scale = 1.0 + np.max(np.abs(sol.u))
+        assert sol.residual <= 1e-10 * scale
+        policy = Policy(PolicyMode.STATIONARY, model.intensity_vector(sol.u))
+        evaluated = evaluate_stationary_policy(model, policy, r)
+        assert np.max(np.abs(evaluated - sol.u)) <= 1e-9 * scale
 
 
 def test_stationary_rejects_bad_discount(symmetric2):
@@ -195,6 +213,17 @@ def test_deviation_profile_keeps_horizon_order(asymmetric2):
     exact = [np.max(np.abs(v - gamma * t - xi - q_exact)) for v, t in zip(values, horizons)]
     assert exact[1] > 1e-3
     assert abs(q_inf - q_exact) <= 1e-10
+    assert np.max(np.abs(deviations - exact)) <= 1e-10
+
+
+def test_deviation_profile_horizons_on_window_points(asymmetric2):
+    # horizons equal to t_max / 4 and t_max share their grid rows
+    payoff = np.array([0.3, -0.2])
+    horizons = (50.0, 200.0)
+    gamma, xi, q_exact, values = cole_hopf(asymmetric2, payoff, horizons)
+    _, deviations = deviation_profile(asymmetric2, payoff, horizons, t_max=200.0)
+    exact = [np.max(np.abs(v - gamma * t - xi - q_exact)) for v, t in zip(values, horizons)]
+    assert deviations.shape == (2,)
     assert np.max(np.abs(deviations - exact)) <= 1e-10
 
 
