@@ -253,71 +253,91 @@ def validate_assumptions(model: CostModel) -> ValidationReport:
     intensities. Strict monotonicity is asserted when every edge is
     entropic; for a purely quadratic model the check runs and reports
     its failure with a witness; for mixed models it is not asserted.
-    Each check draws its samples as one (samples, edges) array, up to
-    1000 rows, so memory is a few such float arrays; its witness is the
-    first failing sample.
+    Each check draws its samples in blocks of at most 64 rows and stops
+    at its first failing block, so memory is a few (64, edges) float
+    arrays; its witness is the first failing sample.
     """
     rng = np.random.default_rng(20240817)
-    samples, m = 1000, model.n_edges
+    m = model.n_edges
     checks: list[PropertyCheck] = []
 
     def node_h(p):
         return model._node_sum(model.conjugate_terms(p))
 
-    def record(name: str, bad: np.ndarray, witness) -> None:
-        """Add a check failing at the first sample k with a bad entry; witness(k) tells it."""
-        rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
-        checks.append(PropertyCheck(name, rows.size == 0,
-                                    witness(int(rows[0])) if rows.size else None))
+    def record(name: str, samples: int, probe) -> None:
+        """Run probe over blocks of fresh samples until a block fails.
+
+        probe(k) draws k samples and returns a (k, ...) mask of bad
+        entries and witness(j), the evidence for sample j of the block.
+        """
+        for start in range(0, samples, 64):
+            bad, witness = probe(min(64, samples - start))
+            rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
+            if rows.size:
+                checks.append(PropertyCheck(name, False, witness(int(rows[0]))))
+                return
+        checks.append(PropertyCheck(name, True, None))
 
     def at_worst(score: np.ndarray, **entries: np.ndarray) -> dict:
         """The node with the highest score, and each entry there."""
         i = int(np.argmax(score))
         return {"node": i, **{key: float(row[i]) for key, row in entries.items()}}
 
-    # finiteness of L at positive intensities
-    lam = rng.uniform(0.0, 10.0, size=(samples // 10, m))
-    record("finite_cost", ~np.isfinite(model.cost_terms(lam)), lambda k: {"lam": lam[k].tolist()})
+    def finite_cost(k):
+        """L is finite at positive intensities."""
+        lam = rng.uniform(0.0, 10.0, size=(k, m))
+        return ~np.isfinite(model.cost_terms(lam)), lambda j: {"lam": lam[j].tolist()}
 
-    # midpoint convexity of each node Hamiltonian in the slopes
-    p, q = rng.uniform(-3.0, 3.0, size=(2, samples, m))
-    hp, hq = node_h(p), node_h(q)
-    gap = node_h(0.5 * (p + q)) - 0.5 * (hp + hq)
-    record("convexity", gap > 1e-10 * (1.0 + np.abs(hp) + np.abs(hq)),
-           lambda k: at_worst(gap[k], gap=gap[k]))
+    def convexity(k):
+        """Each node Hamiltonian is midpoint convex in the slopes."""
+        p, q = rng.uniform(-3.0, 3.0, size=(2, k, m))
+        hp, hq = node_h(p), node_h(q)
+        gap = node_h(0.5 * (p + q)) - 0.5 * (hp + hq)
+        return (gap > 1e-10 * (1.0 + np.abs(hp) + np.abs(hq)),
+                lambda j: at_worst(gap[j], gap=gap[j]))
 
-    # coordinatewise monotonicity: p <= p' implies H <= H'
-    p = rng.uniform(-3.0, 3.0, size=(samples, m))
-    hp, hq = node_h(p), node_h(p + rng.uniform(0.0, 2.0, size=(samples, m)))
-    drop = hp - hq
-    record("monotone", drop > 1e-12 * (1.0 + np.abs(hq)),
-           lambda k: at_worst(drop[k], drop=drop[k]))
+    def monotone(k):
+        """Coordinatewise monotonicity: p <= p' implies H <= H'."""
+        p = rng.uniform(-3.0, 3.0, size=(k, m))
+        hp, hq = node_h(p), node_h(p + rng.uniform(0.0, 2.0, size=(k, m)))
+        drop = hp - hq
+        return (drop > 1e-12 * (1.0 + np.abs(hq)),
+                lambda j: at_worst(drop[j], drop=drop[j]))
 
-    # strictness: raising any single slope must raise H at its source
-    if model.strict_monotone or not model.entropic.any():
-        rows = np.arange(samples)
-        p = rng.uniform(-3.0, 3.0, size=(samples, m))
-        e = rng.integers(m, size=samples)
+    def strict_monotone(k):
+        """Raising any single slope raises H at its source."""
+        rows = np.arange(k)
+        p = rng.uniform(-3.0, 3.0, size=(k, m))
+        e = rng.integers(m, size=k)
         q = p.copy()
-        q[rows, e] += rng.uniform(0.1, 1.0, size=samples)
+        q[rows, e] += rng.uniform(0.1, 1.0, size=k)
         src = model.edge_src[e]
-        record("strict_monotone", ~(node_h(q)[rows, src] > node_h(p)[rows, src]),
-               lambda k: {"edge": (int(src[k]), int(model.edge_dst[e[k]])),
-                          "slope": float(p[k, e[k]])})
+        return (~(node_h(q)[rows, src] > node_h(p)[rows, src]),
+                lambda j: {"edge": (int(src[j]), int(model.edge_dst[e[j]])),
+                           "slope": float(p[j, e[j]])})
+
+    def bounded_below(k):
+        """The running cost is bounded below by the closed-form floor."""
+        floor = model.cost_floor
+        vals = model.running_cost_vector(rng.uniform(0.0, 20.0, size=(k, m)))
+        return (vals < floor - 1e-12 * (1.0 + np.abs(floor)),
+                lambda j: at_worst(floor - vals[j], value=vals[j], floor=floor))
+
+    def superlinear(k):
+        """L(c lam) / (c |lam|) grows without bound in c."""
+        lam = rng.uniform(0.5, 2.0, size=(k, m))
+        top = np.max(lam, axis=1, keepdims=True)
+        r = np.stack([model.running_cost_vector(c * lam) / (c * top) for c in (1e2, 1e4, 1e6)])
+        return ~((r[1] > r[0]) & (r[2] > r[1])), lambda j: {"ratios": r[:, j, 0].tolist()}
+
+    record("finite_cost", 100, finite_cost)
+    record("convexity", 1000, convexity)
+    record("monotone", 1000, monotone)
+    if model.strict_monotone or not model.entropic.any():
+        record("strict_monotone", 1000, strict_monotone)
     else:
         checks.append(PropertyCheck("strict_monotone", None, None))
-
-    # running cost bounded below by the closed-form floor
-    floor = model.cost_floor
-    vals = model.running_cost_vector(rng.uniform(0.0, 20.0, size=(samples, m)))
-    record("bounded_below", vals < floor - 1e-12 * (1.0 + np.abs(floor)),
-           lambda k: at_worst(floor - vals[k], value=vals[k], floor=floor))
-
-    # superlinearity: L(c lam) / (c |lam|) grows without bound in c
-    lam = rng.uniform(0.5, 2.0, size=(samples // 100, m))
-    top = np.max(lam, axis=1, keepdims=True)
-    r = np.stack([model.running_cost_vector(c * lam) / (c * top) for c in (1e2, 1e4, 1e6)])
-    record("superlinear", ~((r[1] > r[0]) & (r[2] > r[1])),
-           lambda k: {"ratios": r[:, k, 0].tolist()})
+    record("bounded_below", 1000, bounded_below)
+    record("superlinear", 10, superlinear)
 
     return ValidationReport(tuple(checks))

@@ -3,7 +3,8 @@
 Three related objects live here:
 
 * the discounted stationary value u solving -r u_i + H(i, u) = 0,
-  found by damped Newton, restarted after forward integration if it stalls;
+  found by damped Newton, which restarts from a larger discount and
+  halves it back if it stalls;
 * the ergodic pair (gamma, xi): the linear growth rate of the
   undiscounted flow and its corrector, normalized so xi[0] = 0, solving
   -gamma + H(i, (xi_j - xi_i)_j) = 0. Two independent routes are
@@ -106,46 +107,40 @@ def _stationary_system(model: CostModel, r: float, u: np.ndarray):
     return model.hamiltonian_vector(u) - r * u, jac
 
 
-def solve_stationary(model: CostModel, r: float, initial_guess: np.ndarray | None = None,
-                     max_iter: int = 80) -> StationaryValue:
+def solve_stationary(model: CostModel, r: float,
+                     initial_guess: np.ndarray | None = None) -> StationaryValue:
     """Solve -r u_i + H(i, (u_j - u_i)_j) = 0 for the stationary value.
 
-    Damped Newton from the given initial guess (zero by default). The
-    Jacobian is the generator of the optimal intensities shifted by
-    -r: row i carries -r - sum_j lam*_ij on the diagonal and lam*_ij at
-    each neighbor, so it is strictly diagonally dominant. If Newton
-    stalls, the time-dependent equation is integrated toward the same
-    fixed point and Newton restarts there with up to 80 steps; iterations
-    counts every accepted Newton step. The residual is below 1e-10 (1 + |u|).
+    Damped Newton, up to 80 steps, from the initial guess (zero by
+    default). The Jacobian, the generator of the optimal intensities
+    shifted by -r, is strictly diagonally dominant. If Newton stalls,
+    it restarts from the guess at the discount r 2^K with
+    K = max(1, ceil(-log2 r)) and halves the discount back to r, each
+    stage starting from the last one's answer: a larger discount pulls
+    u toward H(u) / r, where Newton converges from farther away.
+    iterations counts every accepted Newton step. The residual is below
+    1e-10 (1 + |u|), else NoConvergence.
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"discount must be positive and finite, got {r}")
     n = model.n_nodes
-    u = np.zeros(n) if initial_guess is None else np.asarray(initial_guess, dtype=float).copy()
-    if u.shape != (n,):
-        raise ValueError(f"initial guess has shape {u.shape}, expected ({n},)")
+    guess = np.zeros(n) if initial_guess is None else np.array(initial_guess, dtype=float)
+    if guess.shape != (n,):
+        raise ValueError(f"initial guess has shape {guess.shape}, expected ({n},)")
 
-    def system(x):
-        return _stationary_system(model, r, x)
+    def newton(rate, x):
+        return _damped_newton(lambda y: _stationary_system(model, rate, y), x,
+                              lambda y: 1e-12 * (1.0 + _sup(y)), 80)
 
-    def tol(x):
-        return 1e-12 * (1.0 + _sup(x))
-
-    def rhs(_t, y):
-        return model.hamiltonian_vector(y) - r * y
-
-    u, fnorm, iterations = _damped_newton(system, u, tol, max_iter)
-    # the flow's rtol-1e-10 steps stall near a residual of 1e-9, above the
-    # contract, so Newton restarts once the flow is below 1e-6 (1 + |u|)
-    for _ in range(400):
-        if fnorm <= 1e-10 * (1.0 + _sup(u)):
-            return StationaryValue(r, u, fnorm, iterations)
-        u = integrate_grid(rhs, (0.0, 25.0), u, _RTOL, _ATOL)[0][-1]
-        fnorm = _sup(rhs(0.0, u))
-        if fnorm < 1e-6 * (1.0 + _sup(u)):
-            u, fnorm, polish = _damped_newton(system, u, tol, 80)
-            iterations += polish
-    raise NoConvergence(f"stationary flow did not settle at discount {r}")
+    u, fnorm, iterations = newton(r, guess)
+    if fnorm > 1e-10 * (1.0 + _sup(u)):
+        u = guess
+        for stage in range(max(1, math.ceil(-math.log2(r))), -1, -1):
+            u, fnorm, steps = newton(math.ldexp(r, stage), u)
+            iterations += steps
+        if fnorm > 1e-10 * (1.0 + _sup(u)):
+            raise NoConvergence(f"stationary Newton stalled at discount {r}")
+    return StationaryValue(r, u, fnorm, iterations)
 
 
 class ErgodicMethod(enum.Enum):
@@ -194,7 +189,9 @@ def _refine_ergodic(model: CostModel, gamma0: float,
     The seed must already be consistent: a polish that moves gamma or
     xi by more than 1e-3 (1 + |gamma0|) means the estimator had not
     converged, which is reported as NoConvergence rather than silently
-    accepting the polished root.
+    accepting the polished root. Without strict monotonicity xi is not
+    unique and the polish may slide along its solution set, so only
+    the move in gamma is checked there.
     """
     gamma0 = float(gamma0)
     xi0 = np.asarray(xi0, dtype=float)
@@ -204,7 +201,7 @@ def _refine_ergodic(model: CostModel, gamma0: float,
     if fnorm > 1e-8:
         raise NoConvergence(f"ergodic refinement stalled at residual {fnorm}")
     gamma, xi = float(z[0]), np.concatenate([[0.0], z[1:]])
-    moved = max(abs(gamma - gamma0), _sup(xi - xi0))
+    moved = max(abs(gamma - gamma0), _sup(xi - xi0) if model.strict_monotone else 0.0)
     if moved > 1e-3 * (1.0 + abs(gamma0)):
         raise NoConvergence(
             f"ergodic estimate moved {moved:.2e} under refinement; estimator had not converged"

@@ -11,11 +11,13 @@ import pytest
 
 from ctmcontrol import (
     NoConvergence,
+    Problem,
     ProblemFileError,
     parse_problem_file,
     serialize_problem_file,
 )
 from ctmcontrol.cli import main
+from ctmcontrol.fixtures import random_model
 import ctmcontrol.cli as cli
 from conftest import STRETCHED3_EDGES
 
@@ -243,6 +245,18 @@ def test_ergodic_survives_overflowing_newton_trial(tmp_path):
         assert main(["ergodic", str(src), str(out), "--method", method]) == 0, method
         gammas[method] = json.loads(read(out))["gamma"]
     assert abs(gammas["vanishing"] - gammas["both"]) <= 1e-10 * abs(gammas["both"])
+
+
+def test_ergodic_solves_quadratic_model_with_sliding_corrector(tmp_path):
+    # gamma = 0 on this model and its corrector is not unique, so the
+    # polish of either route moves xi by more than 1e-3
+    model = random_model(np.random.default_rng(28), 3, family="quadratic")
+    src = tmp_path / "quadratic3.json"
+    src.write_text(serialize_problem_file(Problem(model, np.zeros(3), 1.0)))
+    for method in ("both", "vanishing", "direct"):
+        out = tmp_path / f"{method}.json"
+        assert main(["ergodic", str(src), str(out), "--method", method]) == 0, method
+        assert json.loads(read(out))["non_unique_corrector"] is True
 
 
 def test_ergodic_disagreement_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Cost families, Hamiltonians, maximizers, and assumption checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from ctmcontrol import (
     optimal_intensities,
     validate_assumptions,
 )
+from ctmcontrol.fixtures import random_model
+
 from conftest import random_models, two_node_model
 from oracles import grid_max_hamiltonian
 
@@ -289,6 +292,19 @@ def test_validation_mixed_strictness_not_asserted():
     assert not model.strict_monotone
     report = validate_assumptions(model)
     assert report["strict_monotone"].passed is None
+
+
+def test_validation_memory_stays_bounded():
+    # samples are drawn in blocks, so peak memory does not grow with
+    # samples x edges (2,928 edges here)
+    model = random_model(np.random.default_rng(0), 300, extra_edge_prob=0.03, family="mixed")
+    tracemalloc.start()
+    try:
+        validate_assumptions(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
 
 
 # constructors

@@ -68,14 +68,19 @@ def test_stationary_initial_guess_same_answer(asymmetric2):
     assert np.max(np.abs(a.u - b.u)) < 1e-9
 
 
-def test_stationary_fallback_settles_after_newton_stall():
-    # one Newton step leaves the residual far above the contract, so
-    # the flow fallback has to finish the solve
-    model = random_model(np.random.default_rng(3), 6, family="mixed")
-    ref = solve_stationary(model, 0.5)
-    sol = solve_stationary(model, 0.5, max_iter=1)
-    assert sol.residual <= 1e-10 * (1.0 + np.max(np.abs(sol.u)))
-    assert np.max(np.abs(sol.u - ref.u)) <= 1e-12 * (1.0 + np.max(np.abs(ref.u)))
+def test_stationary_settles_where_cold_newton_stalls():
+    # cold damped Newton stalls on these models at small discounts, so the
+    # solve has to walk the discount down from 1; the residual contract,
+    # carried through ||(rI - Q)^-1|| <= 1/r, bounds the policy evaluation gap
+    for seed, n, family in ((37, 4, "quadratic"), (174, 5, "mixed")):
+        model = random_model(np.random.default_rng(seed), n, family=family)
+        for r in (2.0 ** -10, 2.0 ** -15, 2.0 ** -20):
+            sol = solve_stationary(model, r)
+            scale = 1.0 + np.max(np.abs(sol.u))
+            assert sol.residual <= 1e-10 * scale
+            policy = Policy(PolicyMode.STATIONARY, model.intensity_vector(sol.u))
+            evaluated = evaluate_stationary_policy(model, policy, r)
+            assert np.max(np.abs(evaluated - sol.u)) <= 1e-10 * scale / r
 
 
 def test_stationary_survives_overflowing_newton_trial():
@@ -198,9 +203,24 @@ def test_corrector_independent_of_newton_seed():
     assert np.max(np.abs(a.xi - b.xi)) < 1e-7
 
 
-def test_refinement_rejects_distant_seed(asymmetric2):
+def test_quadratic_routes_accept_sliding_corrector():
+    # gamma = 0 and every lam* is nearly 0 at the root, so xi is not unique
+    # and the polish moves it by more than 1e-3 while gamma stays put
+    for seed in (3, 28):
+        model = random_model(np.random.default_rng(seed), 3, family="quadratic")
+        sweep = solve_ergodic_vanishing_discount(model)
+        direct = solve_ergodic_direct(model)
+        assert sweep.non_unique_corrector and direct.non_unique_corrector
+        assert sweep.residual <= 1e-12 and direct.residual <= 1e-12
+        assert abs(sweep.gamma - direct.gamma) <= 1e-10
+
+
+def test_refinement_rejects_distant_seed(asymmetric2, quadratic2):
     with pytest.raises(NoConvergence):
         _refine_ergodic(asymmetric2, 2.1, np.array([0.0, -LOG2]))
+    # without strict monotonicity the move in gamma is still checked
+    with pytest.raises(NoConvergence):
+        _refine_ergodic(quadratic2, 0.6, np.zeros(2))
 
 
 # de-drifted flow diagnostics
