@@ -104,10 +104,6 @@ class CostModel:
     def node_slice(self, i: int) -> slice:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
-    @classmethod
-    def uniform(cls, graph: Graph, cost: EdgeCost) -> "CostModel":
-        return cls(graph, {e: cost for e in graph.edges()})
-
     def _node_sum(self, terms: np.ndarray) -> np.ndarray:
         """Sums of per-edge terms over each node's outgoing edges.
 

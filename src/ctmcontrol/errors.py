@@ -24,7 +24,7 @@ class DuplicateEdge(ControlError):
 
 
 class IsolatedNode(ControlError):
-    """A node has no outgoing edge."""
+    """A node has no edge at all, neither outgoing nor incoming."""
 
 
 # cost / Hamiltonian evaluation

@@ -1,14 +1,15 @@
 """Monte Carlo verification of policies by exact jump-chain sampling.
 
 Paths of the controlled chain are drawn without time discretization:
-within each maximal span where a node's intensity row is constant the
-holding hazard is linear in time, so the whole piecewise-linear
-cumulative hazard is inverted exactly against a unit exponential draw.
+within each interval of the policy's grid a node's intensity row is
+constant and the holding hazard is linear in time, so the whole
+piecewise-linear cumulative hazard is inverted exactly against a unit
+exponential draw.
 Policies are piecewise constant and left continuous in time: the table
 row attached to a grid point governs the interval ending at that point.
 
 Paths are sampled in batched rounds: each round advances every live
-path of a chunk by one jump, with the run lookup, the hazard inversion
+path of a chunk by one jump, with the interval lookup, the hazard inversion
 and the edge choice done over arrays of paths. Path p reads its own
 counter-partitioned Philox stream, the one numpy's Philox(key=seed,
 counter=[0, p, 0, 0]) gives, so results are reproducible bit for bit
@@ -95,34 +96,30 @@ def _uniforms(seed: int, paths: np.ndarray, start: int, count: int) -> np.ndarra
 
 @dataclass(frozen=True)
 class _Schedule:
-    """Every node's runs of constant intensity row, in flat arrays.
+    """Every node's tables over the policy's grid, in flat arrays.
 
-    Node i owns runs first[i] .. first[i+1] - 1 of the per-run arrays:
-    the total exit rate, the reward rate (negated running cost) and
-    ``row``, where the run's cumulative intensity row over the node's
-    edges starts in ``lam_keys``. Its run boundaries are entries
-    first[i] + i .. first[i+1] + i of the per-boundary arrays, which
-    hold one more entry per node: the boundary times, the cumulative
-    hazard, and prefix sums of the discounted per-run reward integrals.
-    Consecutive grid intervals with bitwise-equal rows collapse into one
-    run, so a stationary schedule is a single run per node.
+    ``times`` is the grid t_0 .. t_K, shared by all nodes. Node i owns
+    entries i (K + 1) .. i (K + 1) + K of the per-node tables: at
+    i (K + 1) + k, the cumulative hazard ``cumhaz`` and the cumulative
+    discounted reward ``cumrew`` up to t_k, and the total exit rate and
+    the reward rate (negated running cost) of interval k = (t_k, t_{k+1}]
+    (their last entry pads the stride). ``lam_keys`` holds the
+    cumulative intensity rows interval by interval: node i's row on
+    interval k starts at entry k E + offsets[i].
 
-    The ``*_keys`` arrays pair each value with its node (for boundaries)
-    or run (for intensity rows) as a complex number: numpy orders complex
-    numbers lexicographically, so one searchsorted over the whole array
-    searches within each path's own segment. ``times`` and ``cumhaz``
-    are views of their keys' imaginary parts.
+    The ``*_keys`` arrays pair each value with its node (for the hazard)
+    or with k n + i (for intensity rows) as a complex number: numpy
+    orders complex numbers lexicographically, so one searchsorted over
+    the whole array searches within each path's own segment. ``cumhaz``
+    is a view of its keys' imaginary part.
     """
 
-    first: np.ndarray
     times: np.ndarray
-    time_keys: np.ndarray
     cumhaz: np.ndarray
     hazard_keys: np.ndarray
     cumrew: np.ndarray
     rate: np.ndarray
     reward: np.ndarray
-    row: np.ndarray
     lam_keys: np.ndarray
 
 
@@ -133,15 +130,13 @@ def _keys(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _compress(problem: Problem, policy: Policy) -> _Schedule:
+def _build_schedule(problem: Problem, policy: Policy) -> _Schedule:
     model = problem.costs
     horizon = problem.horizon
     r = problem.discount
     if policy.mode is PolicyMode.STATIONARY:
-        # a stationary policy is a one-run schedule over the horizon
+        # a stationary policy is one interval over the horizon
         grid, rows = np.array([0.0, horizon]), policy.intensities[None]
-    elif policy.grid is None:
-        raise PolicyGridMismatch("time-varying policy carries no grid")
     else:
         # interval k = (t_k, t_{k+1}] is governed by row k+1
         grid, rows = policy.grid, policy.intensities[1:]
@@ -156,47 +151,35 @@ def _compress(problem: Problem, policy: Policy) -> _Schedule:
     if np.any(np.diff(grid) < 0.0):
         raise PolicyGridMismatch("policy grid times decrease")
 
-    offsets, n_nodes = model.offsets, model.n_nodes
-    # a node's run starts at the first interval and wherever its row changes
-    changed = np.logical_or.reduceat(rows[1:] != rows[:-1], offsets[:-1], axis=1)
-    starts = np.vstack([np.ones((1, n_nodes), dtype=bool), changed])
-    run_node, run_k = np.nonzero(starts.T)
-    first = np.concatenate([[0], np.cumsum(np.count_nonzero(starts, axis=0))])
-    slot = np.arange(len(run_node)) - first[run_node]
-    deg = np.diff(offsets)[run_node]
-    row = np.concatenate([[0], np.cumsum(deg)])
-    lam_keys, reward = np.empty(row[-1], dtype=complex), np.empty(len(run_node))
-    # row sums as (runs, degree) blocks, so each row adds up in the order
-    # and association numpy gives one node's table
+    offsets, n_nodes, n_int = model.offsets, model.n_nodes, len(rows)
+    deg = np.diff(offsets)
+    lam_keys = np.empty(rows.shape, dtype=complex)
+    lam_keys.real = np.arange(n_int)[:, None] * n_nodes + model.edge_src
+    rate, reward = np.zeros((2, n_nodes, n_int + 1))
+    # costs and row sums over contiguous (rows, degree) blocks: numpy's
+    # bits depend on the layout, and this one gives each row the bits
+    # that one node's own table gives
     for d in np.flatnonzero(np.bincount(deg)):
-        runs = np.flatnonzero(deg == d)
-        cols = offsets[run_node[runs], None] + np.arange(d)
-        lam = rows[run_k[runs, None], cols]
-        reward[runs] = -np.sum(model.cost_terms(lam, cols), axis=1)
-        entries = row[runs, None] + np.arange(d)
-        lam_keys.real[entries] = runs[:, None]
-        lam_keys.imag[entries] = np.cumsum(lam, axis=1)
-    rate = lam_keys.imag[row[1:] - 1]
-    boundary_node = np.repeat(np.arange(n_nodes), np.diff(first) + 1)
-    time_keys = _keys(boundary_node, np.insert(grid[run_k], first[1:], horizon))
-    times = time_keys.imag
-    left = np.arange(len(run_node)) + run_node
-    spans = times[left + 1] - times[left]
+        nodes = np.flatnonzero(deg == d)
+        cols = offsets[nodes, None] + np.arange(d)
+        lam = rows[:, cols].reshape(-1, d)
+        sums = np.sum(model.cost_terms(lam, np.tile(cols, (n_int, 1))), axis=1)
+        reward[nodes, :-1] = -sums.reshape(n_int, -1).T
+        cumlam = np.cumsum(lam, axis=1).reshape(n_int, -1, d)
+        lam_keys.imag[:, cols] = cumlam
+        rate[nodes, :-1] = cumlam[:, :, -1].T
+    spans = np.diff(grid)
     if r == 0.0:
-        pieces = reward * spans
+        pieces = reward[:, :-1] * spans
     else:
-        decay = np.exp(-r * times)
-        pieces = reward * (decay[left] - decay[left + 1]) / r
-
-    def prefix(values):
-        # per-node running sums led by a zero, from a zero-padded table
-        table = np.zeros((n_nodes, int(slot.max()) + 1))
-        table[run_node, slot] = values
-        return np.insert(np.cumsum(table, axis=1)[run_node, slot], first[:-1], 0.0)
-
-    hazard_keys = _keys(boundary_node, prefix(rate * spans))
-    return _Schedule(first, times, time_keys, hazard_keys.imag, hazard_keys, prefix(pieces),
-                     rate, reward, row[:-1], lam_keys)
+        decay = np.exp(-r * grid)
+        pieces = reward[:, :-1] * (decay[:-1] - decay[1:]) / r
+    cumhaz, cumrew = np.zeros((2, n_nodes, n_int + 1))
+    cumhaz[:, 1:] = np.cumsum(rate[:, :-1] * spans, axis=1)
+    cumrew[:, 1:] = np.cumsum(pieces, axis=1)
+    hazard_keys = _keys(np.repeat(np.arange(n_nodes), n_int + 1), cumhaz.ravel())
+    return _Schedule(grid, hazard_keys.imag, hazard_keys, cumrew.ravel(), rate.ravel(),
+                     reward.ravel(), lam_keys.ravel())
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
@@ -220,8 +203,9 @@ def _sample_chunk(problem: Problem, s: _Schedule, start_node: int, seed: int,
     reads them, so each path's value is the same bit for bit.
     """
     model = problem.costs
-    out_degree = np.diff(model.offsets)
+    offsets, out_degree = model.offsets, np.diff(model.offsets)
     r, horizon = problem.discount, problem.horizon
+    n_int = len(s.times) - 1
     values = np.empty(len(paths))
     live = np.arange(len(paths))
     node = np.full(len(paths), start_node, dtype=np.intp)
@@ -233,34 +217,34 @@ def _sample_chunk(problem: Problem, s: _Schedule, start_node: int, seed: int,
             draws = _uniforms(seed, paths[live], 2 * k, 2 * _ROUNDS)
         u_hold, u_edge = draws[:, 2 * (k % _ROUNDS)], draws[:, 2 * (k % _ROUNDS) + 1]
         k += 1
-        # boundary range of each path's node, and the run governing t
-        lo, hi = s.first[node] + node, s.first[node + 1] + node + 1
-        bp = np.maximum(np.searchsorted(s.time_keys, _keys(node, t)) - 1, lo)
-        gp = bp - node
-        target = (s.cumhaz[bp] + s.rate[gp] * (t - s.times[bp])) - _map(math.log1p, -u_hold)
+        # the interval kp governing t, and its entry bp in the node's tables
+        base = node * (n_int + 1)
+        kp = np.maximum(np.searchsorted(s.times, t) - 1, 0)
+        bp = base + kp
+        target = (s.cumhaz[bp] + s.rate[bp] * (t - s.times[kp])) - _map(math.log1p, -u_hold)
         # paths whose hazard target stays inside the schedule jump before
-        # the horizon; the others run out and end in the node's last run
-        jump = target < s.cumhaz[hi - 1]
-        bk, t_next = hi - 2, np.full(live.size, horizon)
+        # the horizon; the others run out and end in the last interval
+        jump = target < s.cumhaz[base + n_int]
+        bk, t_next = base + n_int - 1, np.full(live.size, horizon)
         bq = np.searchsorted(s.hazard_keys, _keys(node[jump], target[jump]), side="right") - 1
-        gq = bq - node[jump]
         t_next[jump] = np.minimum(
-            s.times[bq] + (target[jump] - s.cumhaz[bq]) / s.rate[gq], horizon)
+            s.times[bq - base[jump]] + (target[jump] - s.cumhaz[bq]) / s.rate[bq], horizon)
         bk[jump] = bq
-        gk = bk - node
-        head = s.reward[gp] * _discount_weight(r, s.times[bp], t)
-        tail = s.reward[gk] * _discount_weight(r, t_next, s.times[bk + 1])
+        kk = bk - base
+        head = s.reward[bp] * _discount_weight(r, s.times[kp], t)
+        tail = s.reward[bk] * _discount_weight(r, t_next, s.times[kk + 1])
         total += (s.cumrew[bk + 1] - s.cumrew[bp]) - head - tail
         done = t_next >= horizon
         values[live[done]] = (total[done]
                               + math.exp(-r * horizon) * problem.terminal_payoff[node[done]])
-        # the jump lands inside run gk a.s., so its row drives the selection
+        # the jump lands inside interval kk a.s., so its row drives the selection
         go = ~done
         live, node, t, total, draws = live[go], node[go], t_next[go], total[go], draws[go]
-        run = gk[go]
-        u = u_edge[go] * s.rate[run]
-        edge = np.searchsorted(s.lam_keys, _keys(run, u), side="right") - s.row[run]
-        node = model.edge_dst[model.offsets[node] + np.minimum(edge, out_degree[node] - 1)]
+        kk = kk[go]
+        u = u_edge[go] * s.rate[bk[go]]
+        edge = (np.searchsorted(s.lam_keys, _keys(kk * model.n_nodes + node, u), side="right")
+                - (kk * model.n_edges + offsets[node]))
+        node = model.edge_dst[offsets[node] + np.minimum(edge, out_degree[node] - 1)]
     return values
 
 
@@ -286,7 +270,7 @@ def simulate(problem: Problem, policy: Policy, start_node: int, n_paths: int,
         raise ValueError(f"need at least one path, got {n_paths}")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2^128), got {seed}")
-    schedule = _compress(problem, policy)
+    schedule = _build_schedule(problem, policy)
     paths = np.arange(n_paths)
     values = np.concatenate([
         _sample_chunk(problem, schedule, start_node, int(seed), paths[i:i + _CHUNK])

@@ -119,10 +119,15 @@ def solve_stationary(model: CostModel, r: float,
     stage starting from the last one's answer: a larger discount pulls
     u toward H(u) / r, where Newton converges from farther away.
     iterations counts every accepted Newton step. The residual is below
-    1e-10 (1 + |u|), else NoConvergence.
+    1e-10 (1 + |u|), else NoConvergence. That contract is relative, and
+    below the ladder's floor 2^-20 it certifies nothing (u grows like
+    1 / r), so a smaller discount raises ValueError.
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"discount must be positive and finite, got {r}")
+    if r < DISCOUNT_LADDER[-1]:
+        raise ValueError(f"discount {r} is below the floor {DISCOUNT_LADDER[-1]} (2^-20), "
+                         "where the residual contract certifies nothing")
     n = model.n_nodes
     guess = np.zeros(n) if initial_guess is None else np.array(initial_guess, dtype=float)
     if guess.shape != (n,):

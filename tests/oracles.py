@@ -155,20 +155,16 @@ def cole_hopf(model, payoff, horizons):
     return gamma, xi, q_inf, [_log_expm_apply(t * k, eg) for t in horizons]
 
 
-def _node_runs(problem, policy, i):
-    """Node i's runs of constant intensity row, as a dict of arrays."""
+def _node_tables(problem, policy, i):
+    """Node i's tables over the policy grid, as a dict of arrays."""
     model = problem.costs
     horizon = problem.horizon
     if policy.grid is None:
-        grid, rows = np.array([0.0, horizon]), policy.intensities[None]
+        times, rows = np.array([0.0, horizon]), policy.intensities[None]
     else:
-        grid, rows = policy.grid, policy.intensities[1:]
+        times, rows = policy.grid, policy.intensities[1:]
     sl = model.node_slice(i)
-    node_rows = rows[:, sl]
-    changed = np.any(node_rows[1:] != node_rows[:-1], axis=1)
-    start_idx = np.concatenate([[0], np.flatnonzero(changed) + 1])
-    times = np.concatenate([grid[start_idx], [horizon]])
-    lam = node_rows[start_idx]
+    lam = rows[:, sl]
     cumlam = np.cumsum(lam, axis=1)
     rate = cumlam[:, -1].copy()
     reward = -np.sum(model.cost_terms(lam, sl), axis=1)
@@ -196,8 +192,8 @@ def _path_value(problem, tables, start, rng):
     horizon = problem.horizon
     node, t, total = start, 0.0, 0.0
     while True:
-        runs = tables[node]
-        times, cumhaz, rate = runs["times"], runs["cumhaz"], runs["rate"]
+        tab = tables[node]
+        times, cumhaz, rate = tab["times"], tab["cumhaz"], tab["rate"]
         p = max(int(np.searchsorted(times, t, side="left")) - 1, 0)
         target = float(cumhaz[p] + rate[p] * (t - times[p])) - math.log1p(-rng.random())
         q = int(np.searchsorted(cumhaz, target, side="right")) - 1
@@ -205,15 +201,15 @@ def _path_value(problem, tables, start, rng):
             t_jump, kb = horizon, len(rate) - 1
         else:
             t_jump, kb = min(times[q] + (target - cumhaz[q]) / rate[q], horizon), q
-        head = runs["reward"][p] * _weight(r, float(times[p]), t)
-        tail = runs["reward"][kb] * _weight(r, t_jump, float(times[kb + 1]))
-        total += float(runs["cumrew"][kb + 1] - runs["cumrew"][p]) - head - tail
+        head = tab["reward"][p] * _weight(r, float(times[p]), t)
+        tail = tab["reward"][kb] * _weight(r, t_jump, float(times[kb + 1]))
+        total += float(tab["cumrew"][kb + 1] - tab["cumrew"][p]) - head - tail
         if t_jump >= horizon:
             break
         u = rng.random() * rate[q]
-        edge = min(int(np.searchsorted(runs["cumlam"][q], u, side="right")),
-                   len(runs["dst"]) - 1)
-        node, t = int(runs["dst"][edge]), t_jump
+        edge = min(int(np.searchsorted(tab["cumlam"][q], u, side="right")),
+                   len(tab["dst"]) - 1)
+        node, t = int(tab["dst"][edge]), t_jump
     return total + math.exp(-r * horizon) * float(problem.terminal_payoff[node])
 
 
@@ -222,11 +218,11 @@ def scalar_path_values(problem, policy, start, n_paths, seed):
 
     Path p draws from Generator(Philox(key=seed, counter=[0, p, 0, 0])):
     per jump one uniform inverts the piecewise-linear cumulative hazard
-    of the current node's run schedule and one picks the edge, and the
-    sojourn that reaches the horizon takes one. The per-node schedule is
-    compressed here, without the library's flat schedule.
+    of the current node's tables over the policy grid and one picks the
+    edge, and the sojourn that reaches the horizon takes one. The tables
+    are built here per node, without the library's flat schedule.
     """
-    tables = [_node_runs(problem, policy, i) for i in range(problem.costs.n_nodes)]
+    tables = [_node_tables(problem, policy, i) for i in range(problem.costs.n_nodes)]
     return np.array([
         _path_value(problem, tables, start,
                     Generator(Philox(key=seed, counter=[0, p, 0, 0])))

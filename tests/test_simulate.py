@@ -32,12 +32,16 @@ def unit_policy():
 
 def test_constant_reward_is_exact(symmetric2):
     # both nodes run identical costs at rate one, so every path pays
-    # the running reward deterministically regardless of its jumps
+    # the running reward deterministically regardless of its jumps; the
+    # optimal policy is that same row at every point of its grid
     problem = Problem(symmetric2, np.zeros(2), horizon=1.0)
-    report = simulate(problem, unit_policy(), 0, 200, seed=3)
-    assert report.mean_objective == pytest.approx(1.0, abs=1e-12)
-    assert report.std_error < 1e-12
-    assert report.n_paths == 200 and report.start_node == 0
+    varying = extract_policy(problem, solve_finite_horizon(problem))
+    assert varying.mode is PolicyMode.TIME_VARYING
+    for policy in (unit_policy(), varying):
+        report = simulate(problem, policy, 0, 200, seed=3)
+        assert report.mean_objective == pytest.approx(1.0, abs=1e-12)
+        assert report.std_error < 1e-12
+        assert report.n_paths == 200 and report.start_node == 0
 
 
 def test_estimate_agrees_with_solver(asymmetric2):
@@ -119,14 +123,20 @@ def test_batched_paths_match_scalar_oracle(r):
     for k, (rng, model) in enumerate(random_models(17)):
         n_edges = model.n_edges
         problem = Problem(model, rng.normal(size=model.n_nodes), horizon=1.0, discount=r)
-        # tables with zero intensities and repeated rows exercise absorbing
-        # runs, zero-rate runs and run compression
+        # tables with zero intensities, repeated rows and repeated grid
+        # times exercise absorbing nodes, zero-rate intervals and
+        # zero-length intervals
         stationary = Policy(PolicyMode.STATIONARY,
                             rng.uniform(0.0, 2.0, n_edges) * (rng.random(n_edges) > 0.25))
         table = rng.uniform(0.0, 2.0, (17, n_edges)) * (rng.random((17, n_edges)) > 0.25)
         table[5:9] = table[5]
         varying = Policy(PolicyMode.TIME_VARYING, table, np.linspace(0.0, 1.0, 17))
-        for policy in (stationary, varying):
+        # its own generator, so the models drawn after it stay the same
+        spare = np.random.default_rng(k)
+        short = spare.uniform(0.0, 2.0, (8, n_edges)) * (spare.random((8, n_edges)) > 0.25)
+        repeated = Policy(PolicyMode.TIME_VARYING, short,
+                          np.array([0.0, 0.25, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0]))
+        for policy in (stationary, varying, repeated):
             batched = simulate(problem, policy, 0, n_paths, seed=k, keep_paths=True)
             expected = scalar_path_values(problem, policy, 0, n_paths, k)
             assert np.array_equal(batched.path_values, expected)

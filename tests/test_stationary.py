@@ -47,7 +47,8 @@ def test_stationary_symmetric_closed_form(symmetric2):
 def test_stationary_matches_two_node_oracle():
     # the residual contract 1e-10 (1 + |u|), carried through
     # ||(rI - Q)^-1|| <= 1/r, bounds the error in u
-    for a01, a10, r in ((2.0, 1.0, 0.1), (4.0, 1.0, 0.5), (1.0, 3.0, 2.0 ** -10)):
+    for a01, a10, r in ((2.0, 1.0, 0.1), (4.0, 1.0, 0.5), (1.0, 3.0, 2.0 ** -10),
+                        (4.0, 1.0, 2.0 ** -20)):
         sol = solve_stationary(two_node_model(scale_12=a01, scale_21=a10), r)
         ref = two_node_stationary(a01, a10, r)
         assert np.max(np.abs(sol.u - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref))) / r
@@ -103,6 +104,11 @@ def test_stationary_rejects_bad_discount(symmetric2):
         solve_stationary(symmetric2, -1.0)
     with pytest.raises(ValueError):
         solve_stationary(symmetric2, 0.5, initial_guess=np.zeros(3))
+    # below the ladder's floor the relative residual contract certifies
+    # nothing: at r = 1e-12 cold Newton stopped after one step at r u = 1.6
+    # on this gamma = 2 model
+    with pytest.raises(ValueError, match="floor"):
+        solve_stationary(two_node_model(scale_12=4.0), 1e-12)
 
 
 # ergodic pair, vanishing-discount route
