@@ -175,19 +175,20 @@ class CostModel:
         """Per-node running costs L(i, lam(i, .)) from flat intensities."""
         return self._node_sum(self.cost_terms(lam_flat))
 
-    def generator(self, lam_flat: np.ndarray) -> np.ndarray:
-        """The n x n generator Q of the chain run at flat intensities.
+    def exit_rates(self, lam_flat: np.ndarray) -> np.ndarray:
+        """Per-node total jump rates sum_j lam_ij: minus the generator's diagonal."""
+        return self._node_sum(lam_flat)
+
+    def generator_apply(self, lam_flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Q x for the generator Q of the chain run at flat intensities.
 
         Q[i, j] = lam_ij on each edge and Q[i, i] = -sum_j lam_ij, so
-        every row sums to zero. It is the Jacobian of hamiltonian_vector
-        at values whose optimal intensities are lam, and the transition
-        part of a fixed policy's evaluation system.
+        (Q x)_i = sum_j lam_ij (x_j - x_i), in O(edges) and exactly zero
+        on constants; Q itself is never formed. Q is the Jacobian of
+        hamiltonian_vector at values whose optimal intensities are lam,
+        and the transition part of a fixed policy's evaluation system.
         """
-        n = self.n_nodes
-        q = np.zeros((n, n))
-        np.add.at(q, (self.edge_src, self.edge_dst), lam_flat)
-        q[np.diag_indices(n)] -= self._node_sum(lam_flat)
-        return q
+        return self._node_sum(lam_flat * self.slopes(x))
 
 
 def _node_array(model: CostModel, i: int, p, name: str) -> np.ndarray:

@@ -125,6 +125,10 @@ def integrate_grid(f: Callable, grid: np.ndarray, y0: np.ndarray,
         while t < target:
             remaining = target - t
             h = min(h_ctrl, remaining)
+            if 0.0 < target - (t + h) < 1e-14 * span:
+                # the sliver left before the target would be below the
+                # step floor, so the step stretches to land instead
+                h = remaining
             landing = h == remaining  # accepted step ends exactly on target
             clamped = h < h_ctrl
             if h < 1e-14 * span:

@@ -37,6 +37,7 @@ from .errors import (
     StrictnessViolation,
 )
 from .finite_horizon import ValueTrajectory
+from .krylov import gmres
 from .ode import integrate_grid
 
 # the vanishing-discount sweep's default discounts, 2^-3 down to 2^-20
@@ -51,12 +52,18 @@ _RTOL, _ATOL = 1e-10, 1e-12
 
 @dataclass(frozen=True)
 class StationaryValue:
-    """Solution of the discounted stationary equation at one discount."""
+    """Solution of the discounted stationary equation at one discount.
+
+    iterations counts the accepted Newton steps over every continuation
+    stage, and krylov_iterations the GMRES iterations of their linear
+    solves.
+    """
 
     discount: float
     u: np.ndarray = field(repr=False)
     residual: float
     iterations: int
+    krylov_iterations: int
 
 
 def _sup(x: np.ndarray) -> float:
@@ -64,28 +71,30 @@ def _sup(x: np.ndarray) -> float:
 
 
 def _damped_newton(system, x: np.ndarray, tol, max_iter: int):
-    """Damped Newton on system(x) -> (F, J), measured in the sup norm.
+    """Damped inexact Newton on system(x) -> (F, apply, diag), in the sup norm.
 
-    Each step solves J d = -F, in least squares if J is singular, and
-    halves the step length from 1 down to 2^-30 until the residual
-    drops; a trial that overflows the kernels counts as one where it
-    does not. Stops when the residual is within tol(x), when no step
-    length lowers it, or after max_iter accepted steps. Returns the
-    last iterate, its residual and the number of accepted steps.
+    apply(d) is J d for the Jacobian J at x, and diag its diagonal. Each
+    step solves J d = -F by GMRES to the forcing tolerance min(0.1,
+    |F|) |F|, and never tighter than half of tol(x), then halves the
+    step length from 1 down to 2^-30 until the residual drops; a trial
+    that overflows the kernels counts as one where it does not. Where J
+    is singular GMRES returns its minimum-residual step and the line
+    search decides. Stops when the residual is within tol(x), when no
+    step length lowers it, or after max_iter accepted steps. Returns the
+    last iterate, its residual, the number of accepted steps and the
+    number of GMRES iterations.
     """
-    f, jac = system(x)
+    f, apply, diag = system(x)
     fnorm = _sup(f)
-    steps = 0
+    steps = krylov = 0
     while steps < max_iter and fnorm > tol(x):
-        try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+        delta, _, its = gmres(apply, -f, diag, max(min(0.1, fnorm) * fnorm, 0.5 * tol(x)))
+        krylov += its
         alpha = 1.0
         while alpha >= 2.0 ** -30:
             cand = x + alpha * delta
             try:
-                fc, jc = system(cand)
+                fc, ac, dc = system(cand)
             except NumericOverflow:
                 alpha *= 0.5
                 continue
@@ -95,31 +104,36 @@ def _damped_newton(system, x: np.ndarray, tol, max_iter: int):
             alpha *= 0.5
         else:
             break
-        x, f, jac, fnorm = cand, fc, jc, fcn
+        x, f, apply, diag, fnorm = cand, fc, ac, dc, fcn
         steps += 1
-    return x, fnorm, steps
+    return x, fnorm, steps, krylov
 
 
 def _stationary_system(model: CostModel, r: float, u: np.ndarray):
-    """Residual F(u) = -r u + H(u) and its Jacobian Q(lam*) - r I."""
-    jac = model.generator(model.intensity_vector(u))
-    jac[np.diag_indices_from(jac)] -= r
-    return model.hamiltonian_vector(u) - r * u, jac
+    """Residual F(u) = -r u + H(u), and its Jacobian Q(lam*) - r I as an operator."""
+    lam = model.intensity_vector(u)
+
+    def apply(d):
+        return model.generator_apply(lam, d) - r * d
+
+    return model.hamiltonian_vector(u) - r * u, apply, -model.exit_rates(lam) - r
 
 
 def solve_stationary(model: CostModel, r: float,
                      initial_guess: np.ndarray | None = None) -> StationaryValue:
     """Solve -r u_i + H(i, (u_j - u_i)_j) = 0 for the stationary value.
 
-    Damped Newton, up to 80 steps, from the initial guess (zero by
-    default). The Jacobian, the generator of the optimal intensities
-    shifted by -r, is strictly diagonally dominant. If Newton stalls,
-    it restarts from the guess at the discount r 2^K with
-    K = max(1, ceil(-log2 r)) and halves the discount back to r, each
-    stage starting from the last one's answer: a larger discount pulls
-    u toward H(u) / r, where Newton converges from farther away.
-    iterations counts every accepted Newton step. The residual is below
-    1e-10 (1 + |u|), else NoConvergence. That contract is relative, and
+    Damped inexact Newton, up to 80 steps, from the initial guess (zero
+    by default). The Jacobian, the generator of the optimal intensities
+    shifted by -r, is strictly diagonally dominant; each step solves
+    with it by GMRES, applying it in O(edges), so no n x n array is
+    built. If Newton stalls, it restarts from the guess at the discount
+    r 2^K with K = max(1, ceil(-log2 r)) and halves the discount back
+    to r, each stage starting from the last one's answer: a larger
+    discount pulls u toward H(u) / r, where Newton converges from
+    farther away. iterations counts every accepted Newton step, and
+    krylov_iterations the GMRES iterations of all of them. The residual
+    is below 1e-10 (1 + |u|), else NoConvergence. That contract is relative, and
     below the ladder's floor 2^-20 it certifies nothing (u grows like
     1 / r), so a smaller discount raises ValueError.
     """
@@ -137,15 +151,16 @@ def solve_stationary(model: CostModel, r: float,
         return _damped_newton(lambda y: _stationary_system(model, rate, y), x,
                               lambda y: 1e-12 * (1.0 + _sup(y)), 80)
 
-    u, fnorm, iterations = newton(r, guess)
+    u, fnorm, iterations, krylov = newton(r, guess)
     if fnorm > 1e-10 * (1.0 + _sup(u)):
         u = guess
         for stage in range(max(1, math.ceil(-math.log2(r))), -1, -1):
-            u, fnorm, steps = newton(math.ldexp(r, stage), u)
+            u, fnorm, steps, its = newton(math.ldexp(r, stage), u)
             iterations += steps
+            krylov += its
         if fnorm > 1e-10 * (1.0 + _sup(u)):
             raise NoConvergence(f"stationary Newton stalled at discount {r}")
-    return StationaryValue(r, u, fnorm, iterations)
+    return StationaryValue(r, u, fnorm, iterations, krylov)
 
 
 class ErgodicMethod(enum.Enum):
@@ -179,12 +194,18 @@ def _ergodic_system(model: CostModel, z: np.ndarray):
     """Residual of -gamma + H(i, xi) = 0 and its Jacobian in z = (gamma, xi[1:]).
 
     xi[0] is pinned to 0, so the generator's column 0 is free to carry
-    the derivative in gamma.
+    the derivative in gamma: the Jacobian is Q with column 0 replaced
+    by -1, applied as Q (0, d[1:]) - d[0] without forming Q.
     """
     xi = np.concatenate([[0.0], z[1:]])
-    jac = model.generator(model.intensity_vector(xi))
-    jac[:, 0] = -1.0
-    return model.hamiltonian_vector(xi) - z[0], jac
+    lam = model.intensity_vector(xi)
+
+    def apply(d):
+        return model.generator_apply(lam, np.concatenate([[0.0], d[1:]])) - d[0]
+
+    diag = -model.exit_rates(lam)
+    diag[0] = -1.0
+    return model.hamiltonian_vector(xi) - z[0], apply, diag
 
 
 def _refine_ergodic(model: CostModel, gamma0: float,
@@ -200,7 +221,7 @@ def _refine_ergodic(model: CostModel, gamma0: float,
     """
     gamma0 = float(gamma0)
     xi0 = np.asarray(xi0, dtype=float)
-    z, fnorm, _ = _damped_newton(
+    z, fnorm, _, _ = _damped_newton(
         lambda x: _ergodic_system(model, x), np.concatenate([[gamma0], xi0[1:]]),
         lambda x: 1e-12 * (1.0 + abs(x[0])), 60)
     if fnorm > 1e-8:

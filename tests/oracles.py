@@ -1,12 +1,13 @@
 """Independent oracles: brute-force and exact routes that share no solver code.
 
-Five routes cross-check the library: a lambda-grid maximizer that
+Six routes cross-check the library: a lambda-grid maximizer that
 never touches the closed-form conjugates, a fixed-step classical RK4
 backward march that never touches the adaptive integrator, a scalar
 bisection for the stationary values of an entropic pair, the exact
-Cole-Hopf solution of all-entropic undiscounted models, and a
-one-path-at-a-time exact sampler beside the batched one. Tests freeze expected values from
-these, or call them directly where the instance is random.
+Cole-Hopf solution of all-entropic undiscounted models, a
+one-path-at-a-time exact sampler beside the batched one, and the dense
+n x n generator beside the matrix-free one. Tests freeze expected
+values from these, or call them directly where the instance is random.
 """
 
 import math
@@ -67,6 +68,22 @@ def rk4_backward(problem, n_steps=1000):
         k4 = f(w + h * k3)
         w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return w
+
+
+def dense_generator(model, lam):
+    """The generator Q of the chain run at flat intensities, as a dense n x n array.
+
+    Q[i, j] sums the intensities of the edges i -> j and Q[i, i] is
+    minus node i's total rate, both written entry by entry from the
+    edge list.
+    """
+    n = model.n_nodes
+    q = np.zeros((n, n))
+    for i, j, rate in zip(model.edge_src.tolist(), model.edge_dst.tolist(),
+                          np.asarray(lam, dtype=float).tolist()):
+        q[i, j] += rate
+        q[i, i] -= rate
+    return q
 
 
 def two_node_stationary(a01, a10, r):

@@ -21,7 +21,7 @@ from ctmcontrol import (
 from ctmcontrol.fixtures import random_model
 
 from conftest import random_models, two_node_model
-from oracles import grid_max_hamiltonian
+from oracles import dense_generator, grid_max_hamiltonian
 
 
 def fan_model(edge_costs):
@@ -223,7 +223,7 @@ def test_maximizer_is_gradient_of_hamiltonian():
             assert abs(fd - lam_star[j]) <= 1e-6 * (1.0 + abs(lam_star[j]))
 
 
-# node sums and the generator on random strongly connected graphs
+# node sums and the generator operator on random strongly connected graphs
 
 
 def test_node_sum_matches_edge_loop():
@@ -248,19 +248,18 @@ def test_node_sum_matches_edge_loop():
             assert ham[..., i].reshape(-1) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
-def test_generator_has_zero_row_sums_and_graph_support():
+def test_generator_apply_matches_dense_oracle():
     for rng, model in random_models(107):
         n = model.n_nodes
         lam = rng.uniform(0.1, 3.0, size=model.n_edges)
-        q = model.generator(lam)
-        assert q.shape == (n, n)
-        assert np.max(np.abs(q.sum(axis=1))) <= 1e-13 * (1.0 + np.max(np.abs(q)))
-        on_edge = np.zeros((n, n), dtype=bool)
-        on_edge[model.edge_src, model.edge_dst] = True
-        # boolean indexing walks rows then columns: the canonical edge order
-        assert np.array_equal(q[on_edge], lam)
-        assert np.all(q[~on_edge & ~np.eye(n, dtype=bool)] == 0.0)
-        assert np.all(np.diag(q) < 0.0)
+        q = dense_generator(model, lam)
+        for x in (rng.uniform(-5.0, 5.0, size=n), rng.uniform(-1e3, 1e3, size=n)):
+            want = q @ x
+            got = model.generator_apply(lam, x)
+            # each entry sums at most 40 products of size |lam| |x|
+            assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(q) @ np.abs(x)))
+        assert np.all(model.generator_apply(lam, np.ones(n)) == 0.0)
+        assert np.allclose(model.exit_rates(lam), -np.diag(q), rtol=1e-13, atol=0.0)
 
 
 # validate_assumptions

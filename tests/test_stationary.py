@@ -1,11 +1,15 @@
 """Stationary solves, ergodic constants, correctors, flow diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ctmcontrol import (
+    CostFamily,
+    CostModel,
+    EdgeCost,
     ErgodicMethod,
     HypothesisUnmet,
     MonotonicityViolation,
@@ -23,6 +27,7 @@ from ctmcontrol import (
     solve_ergodic_vanishing_discount,
     solve_finite_horizon,
     solve_stationary,
+    build_graph,
     verify_stationary_comparison,
 )
 from ctmcontrol.stationary import DedriftedSeries, _refine_ergodic, deviation_profile
@@ -67,6 +72,51 @@ def test_stationary_initial_guess_same_answer(asymmetric2):
     a = solve_stationary(asymmetric2, 0.3)
     b = solve_stationary(asymmetric2, 0.3, initial_guess=np.array([5.0, -7.0]))
     assert np.max(np.abs(a.u - b.u)) < 1e-9
+
+
+def test_stationary_counts_krylov_iterations():
+    model = random_model(np.random.default_rng(43), 12, family="mixed")
+    cold = solve_stationary(model, 0.5)
+    assert cold.iterations > 0 and cold.krylov_iterations > 0
+    warm = solve_stationary(model, 0.5, initial_guess=cold.u)
+    assert warm.iterations == 0 and warm.krylov_iterations == 0
+    assert np.array_equal(warm.u, cold.u)
+
+
+def _chorded_ring(n, rng):
+    """Ring 0 -> 1 -> ... -> 0 plus two chords per node to random targets, mixed costs.
+
+    Built from flat arrays in O(edges); chords that would repeat an
+    edge or make a loop move one node further on.
+    """
+    hops = rng.integers(2, n - 1, size=(n, 2))
+    hops[:, 1] += hops[:, 1] == hops[:, 0]
+    src = np.repeat(np.arange(n), 3)
+    dst = (src + np.column_stack([np.ones(n, dtype=int), hops]).ravel()) % n
+    edges = list(zip(src.tolist(), dst.tolist()))
+    families = np.where(rng.random(len(edges)) < 0.5, "entropic", "quadratic")
+    scales, shifts = rng.uniform(0.5, 2.0, len(edges)), rng.uniform(-0.5, 0.5, len(edges))
+    return CostModel(build_graph(n, edges), {
+        e: EdgeCost(CostFamily(f), a, b)
+        for e, f, a, b in zip(edges, families.tolist(), scales.tolist(), shifts.tolist())
+    })
+
+
+def test_stationary_solve_and_evaluation_memory_is_linear_in_edges():
+    # n = 10^4: a dense generator alone would be 800 MB
+    model = _chorded_ring(10_000, np.random.default_rng(44))
+    tracemalloc.start()
+    try:
+        sol = solve_stationary(model, 0.5)
+        policy = Policy(PolicyMode.STATIONARY, model.intensity_vector(sol.u))
+        evaluated = evaluate_stationary_policy(model, policy, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6
+    scale = 1.0 + np.max(np.abs(sol.u))
+    assert sol.residual <= 1e-10 * scale
+    assert np.max(np.abs(evaluated - sol.u)) <= 1e-9 * scale
 
 
 def test_stationary_settles_where_cold_newton_stalls():
