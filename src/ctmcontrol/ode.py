@@ -18,6 +18,7 @@ raises NoConvergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,7 +55,8 @@ class StepStats:
 
 
 def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(err / scale))))
+    # the bits of np.sqrt(np.mean(...)): mean also sums with add.reduce
+    return math.sqrt(float(np.square(err / scale).sum()) / err.shape[0])
 
 
 def _initial_step(f, t0, y0, f0, span, rtol, atol) -> float:
@@ -82,22 +84,25 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol) -> float:
 
 def _step_once(f: Callable, t: float, y: np.ndarray, k1: np.ndarray, h: float,
                rtol: float, atol: float):
-    """One trial step of size h from (t, y); returns (y_new, k7, err_norm)."""
-    # nonfinite stage values are detected and rejected below, so the
-    # overflow warnings they would raise along the way are suppressed
-    with np.errstate(invalid="ignore", over="ignore"):
-        k = np.empty((7, y.shape[0]))
-        k[0] = k1
-        for s in range(1, 6):
-            ys = y + h * (_A[s] @ k[:s])
-            k[s] = f(t + _C[s] * h, ys)
-        y5 = y + h * (_A[6] @ k[:6])
-        k[6] = f(t + h, y5)  # FSAL stage doubles as next step's k1
-        err = h * (_E @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        if not (np.all(np.isfinite(y5)) and np.all(np.isfinite(err))):
-            return y5, k[6], float("inf")
-        return y5, k[6], _error_norm(err, scale)
+    """One trial step of size h from (t, y); returns (y_new, k7, err_norm).
+
+    A step whose stages turn non-finite gets a non-finite error norm.
+    The caller suppresses the overflow warnings met on the way there.
+    """
+    k = np.empty((7, y.shape[0]))
+    k[0] = k1
+    for s in range(1, 6):
+        ys = y + h * (_A[s] @ k[:s])
+        k[s] = f(t + _C[s] * h, ys)
+    y5 = y + h * (_A[6] @ k[:6])
+    k[6] = f(t + h, y5)  # FSAL stage doubles as next step's k1
+    err = h * (_E @ k)
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+    # a non-finite err shows in the norm, but an infinite y5 can give the
+    # finite norm 0 through an infinite scale, so y5 is tested here
+    if not np.isfinite(y5).all():
+        return y5, k[6], math.inf
+    return y5, k[6], _error_norm(err, scale)
 
 
 def integrate_grid(f: Callable, grid: np.ndarray, y0: np.ndarray,
@@ -120,47 +125,50 @@ def integrate_grid(f: Callable, grid: np.ndarray, y0: np.ndarray,
     facold = 1e-4
     stats = StepStats()
     nonfinite_last = False
-    for idx in range(1, grid.shape[0]):
-        target = float(grid[idx])
-        while t < target:
-            remaining = target - t
-            h = min(h_ctrl, remaining)
-            if 0.0 < target - (t + h) < 1e-14 * span:
-                # the sliver left before the target would be below the
-                # step floor, so the step stretches to land instead
-                h = remaining
-            landing = h == remaining  # accepted step ends exactly on target
-            clamped = h < h_ctrl
-            if h < 1e-14 * span:
-                if nonfinite_last:
-                    raise NumericOverflow(
-                        f"right-hand side non-finite near t = {t}; state out of range"
-                    )
-                raise StepSizeUnderflow(f"step {h} below 1e-14 of span {span} at t = {t}")
-            if stats.accepted + stats.rejected >= _MAX_STEPS:
-                raise NoConvergence(f"step budget of {_MAX_STEPS} exhausted at t = {t}")
-            y_new, k_last, err = _step_once(f, t, y, k1, h, rtol, atol)
-            if not np.isfinite(err):
-                nonfinite_last = True
-                stats.rejected += 1
-                h_ctrl = h * _MIN_FACTOR
-                continue
-            nonfinite_last = False
-            if err <= 1.0:
-                # PI growth factor; remembers the previous accepted error
-                fac = (max(err, 1e-10) ** _EXPO) / (facold ** _BETA)
-                fac = max(1.0 / _MAX_FACTOR, min(1.0 / _MIN_FACTOR, fac / _SAFETY))
-                h_next = h / fac
-                facold = max(err, 1e-4)
-                t = target if landing else t + h
-                y = y_new
-                k1 = k_last
-                stats.accepted += 1
-                # a clamped step must not shrink the controller's proposal
-                h_ctrl = max(h_next, h_ctrl) if clamped else h_next
-            else:
-                stats.rejected += 1
-                fac = (err ** _EXPO) / (facold ** _BETA)
-                h_ctrl = h / min(1.0 / _MIN_FACTOR, fac / _SAFETY)
-        out[idx] = y
+    # non-finite stage values are detected and rejected in the loop, so
+    # the overflow warnings they raise along the way are suppressed
+    with np.errstate(invalid="ignore", over="ignore"):
+        for idx in range(1, grid.shape[0]):
+            target = float(grid[idx])
+            while t < target:
+                remaining = target - t
+                h = min(h_ctrl, remaining)
+                if 0.0 < target - (t + h) < 1e-14 * span:
+                    # the sliver left before the target would be below the
+                    # step floor, so the step stretches to land instead
+                    h = remaining
+                landing = h == remaining  # accepted step ends exactly on target
+                clamped = h < h_ctrl
+                if h < 1e-14 * span:
+                    if nonfinite_last:
+                        raise NumericOverflow(
+                            f"right-hand side non-finite near t = {t}; state out of range"
+                        )
+                    raise StepSizeUnderflow(f"step {h} below 1e-14 of span {span} at t = {t}")
+                if stats.accepted + stats.rejected >= _MAX_STEPS:
+                    raise NoConvergence(f"step budget of {_MAX_STEPS} exhausted at t = {t}")
+                y_new, k_last, err = _step_once(f, t, y, k1, h, rtol, atol)
+                if not math.isfinite(err):
+                    nonfinite_last = True
+                    stats.rejected += 1
+                    h_ctrl = h * _MIN_FACTOR
+                    continue
+                nonfinite_last = False
+                if err <= 1.0:
+                    # PI growth factor; remembers the previous accepted error
+                    fac = (max(err, 1e-10) ** _EXPO) / (facold ** _BETA)
+                    fac = max(1.0 / _MAX_FACTOR, min(1.0 / _MIN_FACTOR, fac / _SAFETY))
+                    h_next = h / fac
+                    facold = max(err, 1e-4)
+                    t = target if landing else t + h
+                    y = y_new
+                    k1 = k_last
+                    stats.accepted += 1
+                    # a clamped step must not shrink the controller's proposal
+                    h_ctrl = max(h_next, h_ctrl) if clamped else h_next
+                else:
+                    stats.rejected += 1
+                    fac = (err ** _EXPO) / (facold ** _BETA)
+                    h_ctrl = h / min(1.0 / _MIN_FACTOR, fac / _SAFETY)
+            out[idx] = y
     return out, stats

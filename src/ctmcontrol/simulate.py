@@ -28,6 +28,8 @@ from .errors import PolicyGridMismatch, SingularSystem, ZeroVariance
 from .finite_horizon import Policy, PolicyMode, Problem
 from .krylov import gmres
 
+_EPS = float(np.finfo(float).eps)
+
 __all__ = [
     "SimulationReport",
     "simulate",
@@ -292,11 +294,16 @@ def evaluate_stationary_policy(model: CostModel, policy: Policy, r: float) -> np
     Writes the one-step balance (r + exit rate) u_i = reward_i +
     sum_j lam_ij u_j as the linear system (r I - Q) u = reward, with Q
     the policy's generator applied in O(edges) and never formed, and
-    solves it by GMRES to a sup-norm residual of 1e-12 (1 + |u|).
-    Requires a stationary policy and a positive discount; a system that
-    does not reach that residual (a positive discount rules out
-    singularity for finite rates) raises SingularSystem rather than
-    returning a least-squares answer.
+    solves it by GMRES. Row i of (r I - Q) u sums terms of total size
+    up to (r + 2 rate_i) |u|, so rounding alone leaves a residual near
+    eps (r + 2 rate_i) |u|, which passes 1e-12 |u| once a rate passes
+    about 2e3. The sup-norm residual must therefore be within
+    1e-12 (1 + |u|) + 8 eps (r + 2 max_i rate_i) |u|: the absolute
+    bound plus a small multiple of that rounding floor. Requires a
+    stationary policy and a positive discount; a system that does not
+    reach that residual (a positive discount rules out singularity for
+    finite rates) raises SingularSystem rather than returning a
+    least-squares answer.
     """
     if policy.mode is not PolicyMode.STATIONARY:
         raise ValueError("evaluation needs a stationary policy")
@@ -317,7 +324,9 @@ def evaluate_stationary_policy(model: CostModel, policy: Policy, r: float) -> np
     # row i gives |b_i| <= (r + 2 rate_i) |u|, so this tolerance is within the contract
     tol = 1e-12 * (1.0 + float(np.max(np.abs(b) / (r + 2.0 * rate))))
     u, resid, _ = gmres(apply, b, r + rate, tol)
-    if not resid <= 1e-12 * (1.0 + float(np.max(np.abs(u)))):
+    size = float(np.max(np.abs(u)))
+    floor = _EPS * (r + 2.0 * float(np.max(rate))) * size
+    if not resid <= 1e-12 * (1.0 + size) + 8.0 * floor:
         raise SingularSystem(f"policy evaluation stalled at residual {resid:.3e}")
     return u
 

@@ -1,7 +1,9 @@
 """Independent oracles: brute-force and exact routes that share no solver code.
 
-Six routes cross-check the library: a lambda-grid maximizer that
-never touches the closed-form conjugates, a fixed-step classical RK4
+Seven routes cross-check the library: a lambda-grid maximizer that
+never touches the closed-form conjugates, the closed forms evaluated
+on every edge in both families and picked per edge by np.where beside
+the per-family kernels, a fixed-step classical RK4
 backward march that never touches the adaptive integrator, a scalar
 bisection for the stationary values of an entropic pair, the exact
 Cole-Hopf solution of all-entropic undiscounted models, a
@@ -43,6 +45,20 @@ def grid_max_hamiltonian(model, node, p, lam_max=60.0, n_grid=2_000_001):
         best_val[j] = gain[k]
         best_lam[j] = lam[k]
     return float(np.sum(best_val)), best_lam
+
+
+def where_edge_terms(model, p, edges=slice(None)):
+    """Edge conjugates and maximizers at flat slopes p, two families at once.
+
+    Evaluates both families' closed forms on every edge of the slice
+    and picks one per edge with np.where, with no overflow guard;
+    returns (conjugates, maximizers).
+    """
+    scale, shift, entropic = model.scale[edges], model.shift[edges], model.entropic[edges]
+    q = p + shift
+    ent = scale * np.exp(np.where(entropic, q, 0.0))
+    conj = np.where(entropic, ent, 0.5 * scale * np.square(np.maximum(q, 0.0)))
+    return conj, np.where(entropic, ent, scale * np.maximum(q, 0.0))
 
 
 def rk4_backward(problem, n_steps=1000):

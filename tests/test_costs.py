@@ -21,7 +21,7 @@ from ctmcontrol import (
 from ctmcontrol.fixtures import random_model
 
 from conftest import random_models, two_node_model
-from oracles import dense_generator, grid_max_hamiltonian
+from oracles import dense_generator, grid_max_hamiltonian, where_edge_terms
 
 
 def fan_model(edge_costs):
@@ -221,6 +221,56 @@ def test_maximizer_is_gradient_of_hamiltonian():
             e[j] = d
             fd = (hamiltonian(model, 0, p + e) - hamiltonian(model, 0, p - e)) / (2 * d)
             assert abs(fd - lam_star[j]) <= 1e-6 * (1.0 + abs(lam_star[j]))
+
+
+# the per-family kernels against the two-family np.where formulation
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_family_kernels_match_where_oracle_bit_for_bit():
+    for rng, model in random_models(109):
+        n = model.n_nodes
+        for shape in ((n,), (6, n)):
+            # slopes in [-6, 6] cross 0, where the quadratic kernels kink
+            values = rng.uniform(-3.0, 3.0, size=shape)
+            slopes = values[..., model.edge_dst] - values[..., model.edge_src]
+            conj, lam = where_edge_terms(model, slopes)
+            ham = np.add.reduceat(conj, model.offsets[:-1], axis=-1)
+            assert same_bits(model.hamiltonian_vector(values), ham)
+            assert same_bits(model.intensity_vector(values), lam)
+        for i in range(n):
+            sl = model.node_slice(i)
+            p = rng.uniform(-6.0, 6.0, size=sl.stop - sl.start)
+            conj, lam = where_edge_terms(model, p, sl)
+            assert same_bits(hamiltonian(model, i, p), float(np.sum(conj)))
+            assert same_bits(optimal_intensities(model, i, p), lam)
+
+
+def test_family_kernels_overflow_guard_and_empty_input():
+    mixed = CostModel(build_graph(2, [(0, 1), (1, 0)]), {
+        (0, 1): EdgeCost(CostFamily.ENTROPIC, 1.0),
+        (1, 0): EdgeCost(CostFamily.QUADRATIC, 1.0),
+    })
+    # an entropic slope above 709 overflows exp
+    for kernel in (mixed.hamiltonian_vector, mixed.intensity_vector):
+        with pytest.raises(NumericOverflow):
+            kernel(np.array([0.0, 710.0]))
+    with pytest.raises(NumericOverflow):
+        hamiltonian(mixed, 0, [710.0])
+    # a quadratic slope above 709 is finite, and the entropic slope -710 too
+    assert np.all(np.isfinite(mixed.hamiltonian_vector(np.array([710.0, 0.0]))))
+    assert hamiltonian(mixed, 1, [710.0]) == 0.5 * 710.0 ** 2
+    # NaN is not an overflow
+    assert np.all(np.isnan(mixed.intensity_vector(np.array([np.nan, 0.0]))))
+    # no rows in, no rows out
+    assert mixed.intensity_vector(np.zeros((0, 2))).shape == (0, 2)
+    assert mixed.hamiltonian_vector(np.zeros((0, 2))).shape == (0, 2)
+    for rng, model in random_models(110):
+        assert model.intensity_vector(np.zeros((0, model.n_nodes))).shape == (0, model.n_edges)
 
 
 # node sums and the generator operator on random strongly connected graphs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctmcontrol import NumericOverflow, StepSizeUnderflow
-from ctmcontrol.ode import integrate_grid
+from ctmcontrol.ode import _error_norm, integrate_grid
 
 
 def test_exponential_decay_accuracy():
@@ -102,3 +102,44 @@ def test_stats_count_rejections():
 def test_backward_time_span_rejected():
     with pytest.raises(ValueError):
         integrate_grid(lambda t, y: -y, (1.0, 0.0), np.array([1.0]), 1e-8, 1e-10)
+
+
+def test_error_norm_has_the_bits_of_numpy_mean():
+    # sizes below, at and above the 8-wide unrolled and 128-wide blocked
+    # stretches of numpy's pairwise sum
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 9, 128, 131, 1000, 3005):
+        for _ in range(20):
+            err = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3, size=n)
+            scale = 1e-12 + 1e-10 * np.abs(rng.standard_normal(n))
+            want = float(np.sqrt(np.mean(np.square(err / scale))))
+            assert _error_norm(err, scale) == want
+        for bad in (np.inf, -np.inf, np.nan):
+            err[rng.integers(n)] = bad
+            with np.errstate(invalid="ignore"):
+                want = float(np.sqrt(np.mean(np.square(err / scale))))
+                got = _error_norm(err, scale)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+            assert not math.isfinite(got)
+
+
+@pytest.mark.parametrize("blowup", [lambda y: np.exp(y + 1000.0), lambda y: np.log(y - 2.0)],
+                         ids=["overflow", "invalid"])
+def test_rhs_turning_nonfinite_is_rejected_without_warnings(blowup):
+    # finite up to t = 0.5, then exp overflows (inf) or log goes invalid
+    # (nan): the steps across are rejected and shrink to the floor, and
+    # the suite's warning filter turns any RuntimeWarning into an error
+    def f(t, y):
+        return np.ones_like(y) if t < 0.5 else blowup(y)
+
+    with pytest.raises(NumericOverflow):
+        integrate_grid(f, (0.0, 1.0), np.zeros(3), 1e-8, 1e-10)
+
+
+def test_state_overflowing_to_inf_is_rejected():
+    # y = 1e308 t leaves the float range near t = 1.8; a step that makes
+    # it inf has an infinite error scale, so its error norm is 0, and
+    # only the test of the state itself keeps it from being accepted
+    with pytest.raises(NumericOverflow):
+        integrate_grid(lambda t, y: np.full_like(y, 1e308), (0.0, 3.0), np.zeros(2),
+                       1e-8, 1e290)

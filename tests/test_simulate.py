@@ -210,6 +210,27 @@ def test_stationary_evaluation_of_optimal_policy_is_the_optimum():
         assert np.max(np.abs(value - sol.u)) <= 1e-9 * (1.0 + np.max(np.abs(sol.u)))
 
 
+def test_stationary_evaluation_at_extreme_rates_matches_closed_form(symmetric2):
+    # (r I - Q) u = b for the unit entropic pair, solved by Cramer's rule;
+    # a rate of 1e6 or 1e8 puts the rounding floor eps (r + 2 rate) |u| of
+    # the residual far above 1e-12 (1 + |u|), and the evaluator must
+    # still answer within its documented bound
+    r = 0.5
+    eps = np.finfo(float).eps
+    for a in (1e6, 1e8):
+        lam = np.array([a, 1.0])
+        value = evaluate_stationary_policy(symmetric2, Policy(PolicyMode.STATIONARY, lam), r)
+        b = -symmetric2.running_cost_vector(lam)
+        det = r * (r + a + 1.0)
+        exact = np.array([((r + 1.0) * b[0] + a * b[1]) / det,
+                          (b[0] + (r + a) * b[1]) / det])
+        size = np.max(np.abs(exact))
+        # the residual bound, times |(r I - Q)^-1| <= 1 / r, plus the
+        # rounding of the closed form itself
+        bound = (1e-12 * (1.0 + size) + 8.0 * eps * (r + 2.0 * a) * size) / r
+        assert np.max(np.abs(value - exact)) <= bound + 1e-14 * size
+
+
 def test_stationary_evaluation_of_idle_policy(symmetric2):
     idle = Policy(PolicyMode.STATIONARY, np.zeros(2))
     value = evaluate_stationary_policy(symmetric2, idle, 0.5)
