@@ -17,12 +17,13 @@ Entropic edges make the Hamiltonian strictly increasing in each slope;
 quadratic edges are flat below -b, which is what the strict_monotone
 flag records for the model as a whole.
 
-Each conjugate and each maximizer is written once, as a kernel over
-one family's edges. CostModel evaluates each family only on its own
-edges: it gathers their slopes, applies the family's kernel and
-scatters the terms into the flat edge order, where node sums are taken.
-An entropic slope plus shift above 709 would overflow exp, so it
-raises NumericOverflow instead.
+Each conjugate and each maximizer is written once, in place on one
+family's edges. A kernel call gathers slope plus shift into a
+family-major layout of the edges (entropic first, then quadratic),
+runs each family's formula on its contiguous slice and gathers the
+terms back into the flat edge order, where node sums are taken. An
+entropic slope plus shift above 709 would overflow exp, so it raises
+NumericOverflow instead.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -62,69 +63,64 @@ class EdgeCost:
             raise ValueError(f"shift must be finite, got {self.shift}")
 
 
-def _entropic(q: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """a exp(q): the entropic conjugate, and its maximizer too."""
-    if np.count_nonzero(q > _EXP_LIMIT):
-        raise NumericOverflow(f"exp({float(np.max(q))}) overflows in entropic edge kernel")
-    return a * np.exp(q)
+class _Layout(NamedTuple):
+    """Edges in family-major order: entropic first, then quadratic, each in flat order.
 
-
-def _quadratic_conjugate(q: np.ndarray, half_a: np.ndarray) -> np.ndarray:
-    """(a / 2) max(q, 0)^2, given a / 2."""
-    return half_a * np.square(np.maximum(q, 0.0))
-
-
-def _quadratic_maximizer(q: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """a max(q, 0)."""
-    return a * np.maximum(q, 0.0)
-
-
-_CONJUGATE, _MAXIMIZER = 0, 1
-
-
-class _Family(NamedTuple):
-    """One family's edges, at positions pos of a flat order.
-
-    kernels holds (kernel, coefficient) for the conjugate and for the
-    maximizer; a kernel maps (q, coefficient) to edge terms, with q the
-    slope plus the shift.
+    Edge k is edge order[k] of the run of flat edges the layout covers,
+    and inverse undoes order; both are None when one family covers the
+    run. Each kernel ends with a factor a, or a / 2 for quadratic conjugates.
     """
 
-    pos: np.ndarray
-    src: np.ndarray
+    order: np.ndarray | None
+    inverse: np.ndarray | None
     dst: np.ndarray
+    src: np.ndarray
     shift: np.ndarray
-    kernels: tuple[tuple[Callable, np.ndarray], tuple[Callable, np.ndarray]]
+    n_entropic: int
+    conjugate_scale: np.ndarray
+    maximizer_scale: np.ndarray
 
 
-def _split_families(model: CostModel, idx: np.ndarray) -> tuple[_Family, ...]:
-    """The families among the flat edges idx, with positions relative to idx."""
+def _family_major(model: CostModel, idx: np.ndarray) -> _Layout:
+    """The layout of the flat edges idx."""
     entropic = model.entropic[idx]
-    families = []
-    for is_entropic, pos in ((True, np.flatnonzero(entropic)), (False, np.flatnonzero(~entropic))):
-        if pos.size:
-            e = idx[pos]
-            a = model.scale[e]
-            kernels = (((_entropic, a), (_entropic, a)) if is_entropic else
-                       ((_quadratic_conjugate, 0.5 * a), (_quadratic_maximizer, a)))
-            families.append(_Family(pos, model.edge_src[e], model.edge_dst[e],
-                                    model.shift[e], kernels))
-    return tuple(families)
+    n_entropic = int(np.count_nonzero(entropic))
+    order = inverse = None
+    if 0 < n_entropic < idx.shape[0]:
+        order = np.argsort(~entropic, kind="stable")
+        inverse = np.argsort(order)
+        idx = idx[order]
+    a = model.scale[idx]
+    return _Layout(order, inverse, model.edge_dst[idx], model.edge_src[idx], model.shift[idx],
+                   n_entropic, np.concatenate([a[:n_entropic], 0.5 * a[n_entropic:]]), a)
 
 
-def _evaluate(families, kernel: int, slopes: Callable, shape: tuple) -> np.ndarray:
-    """Each family's kernel on its own edges, scattered into one flat array.
+def _edge_terms(layout: _Layout, maximizer: bool, q: np.ndarray) -> np.ndarray:
+    """Edge conjugates, or maximizers, from q = slope + shift in the layout.
 
-    slopes(f) returns family f's slopes, (..., len(f.pos)); the terms
-    land at f.pos of the last axis of a new array of the given shape.
+    q, (..., edges), is overwritten: a exp(q) on the entropic edges,
+    (a / 2) max(q, 0)^2 or a max(q, 0) on the quadratic ones. The terms
+    come back in flat order, C-contiguous; callers do not keep q, so a
+    (K, edges) q is freed once it is reordered.
     """
-    out = np.empty(shape)
-    for f in families:
-        fn, coef = f.kernels[kernel]
-        # out.T[pos] writes along the last axis, at the cost of out[pos]
-        # on 1-D arrays, where out[..., pos] costs about 1 us more
-        out.T[f.pos] = fn(slopes(f) + f.shift, coef).T
-    return out
+    ne = layout.n_entropic
+    if ne:
+        ent = q[..., :ne]
+        if np.count_nonzero(ent > _EXP_LIMIT):
+            raise NumericOverflow(f"exp({float(np.max(ent))}) overflows in entropic edge kernel")
+        np.exp(ent, out=ent)
+    if ne < q.shape[-1]:
+        quad = q[..., ne:]
+        np.maximum(quad, 0.0, out=quad)
+        if not maximizer:
+            np.square(quad, out=quad)
+    q *= layout.maximizer_scale if maximizer else layout.conjugate_scale
+    ent = quad = None  # views that would keep q alive while it is reordered
+    if layout.inverse is not None:
+        if q.ndim == 1:
+            return q[layout.inverse]
+        q = q.T[layout.inverse].T
+    return np.ascontiguousarray(q)
 
 
 class CostModel:
@@ -189,25 +185,25 @@ class CostModel:
     # leading axes so a whole trajectory of slopes can be mapped at once
 
     @functools.cached_property
-    def _families(self) -> tuple[_Family, ...]:
-        """Each family's edges in the flat order, split on first use."""
-        return _split_families(self, np.arange(self.n_edges))
+    def _layout(self) -> _Layout:
+        """The family-major layout of every edge, built on first use."""
+        return _family_major(self, np.arange(self.n_edges))
 
-    def _at_slopes(self, kernel: int, p_flat: np.ndarray, edges: slice | None) -> np.ndarray:
+    def _at_slopes(self, maximizer: bool, p_flat: np.ndarray, edges: slice | None) -> np.ndarray:
         """A kernel on flat slopes, over all edges or over a slice of them."""
         p = np.asarray(p_flat, dtype=float)
-        families = (self._families if edges is None
-                    else _split_families(self, np.arange(*edges.indices(self.n_edges))))
-        pt = p.T
-        return _evaluate(families, kernel, lambda f: pt[f.pos].T, p.shape)
+        layout = (self._layout if edges is None
+                  else _family_major(self, np.arange(*edges.indices(self.n_edges))))
+        return _edge_terms(layout, maximizer, (p if layout.order is None
+                                               else p.T[layout.order].T) + layout.shift)
 
     def conjugate_terms(self, p_flat: np.ndarray, edges: slice | None = None) -> np.ndarray:
         """Edge conjugates h(p) = sup_{lam >= 0} lam * p - l(lam)."""
-        return self._at_slopes(_CONJUGATE, p_flat, edges)
+        return self._at_slopes(False, p_flat, edges)
 
     def maximizer_terms(self, p_flat: np.ndarray, edges: slice | None = None) -> np.ndarray:
         """The intensities attaining the conjugate sups."""
-        return self._at_slopes(_MAXIMIZER, p_flat, edges)
+        return self._at_slopes(True, p_flat, edges)
 
     def cost_terms(self, lam_flat: np.ndarray,
                    edges: slice | np.ndarray | None = None) -> np.ndarray:
@@ -223,25 +219,29 @@ class CostModel:
 
     def slopes(self, values: np.ndarray) -> np.ndarray:
         """Per-edge slopes V[dst] - V[src]; values may be (..., n_nodes)."""
-        v = np.asarray(values, dtype=float)
-        return v[..., self.edge_dst] - v[..., self.edge_src]
+        vt = np.asarray(values, dtype=float).T
+        return (vt[self.edge_dst] - vt[self.edge_src]).T
 
-    def _at_values(self, kernel: int, values: np.ndarray) -> np.ndarray:
-        """A kernel on every edge, each family's slopes gathered from the values."""
-        v = np.asarray(values, dtype=float)
-        # gathering rows of v.T is as fast as v[idx] on 1-D values and
-        # twice as fast as take(axis=-1) on a (257, n) trajectory
-        vt = v.T
-        return _evaluate(self._families, kernel, lambda f: (vt[f.dst] - vt[f.src]).T,
-                         v.shape[:-1] + (self.n_edges,))
+    def _shifted_slopes(self, values: np.ndarray) -> np.ndarray:
+        """V[dst] - V[src] + shift on every edge, in the layout, from rows of V.T.
+
+        Rows of V.T gather as fast as V[idx] on 1-D values (V[..., idx]
+        costs 1 us more) and twice as fast as take(axis=-1) on (257, n).
+        """
+        layout, vt = self._layout, np.asarray(values, dtype=float).T
+        q = vt[layout.dst]
+        q -= vt[layout.src]
+        q = q.T
+        q += layout.shift
+        return q
 
     def hamiltonian_vector(self, values: np.ndarray) -> np.ndarray:
         """All node Hamiltonians H(i, (V_j - V_i)_j) at once."""
-        return self._node_sum(self._at_values(_CONJUGATE, values))
+        return self._node_sum(_edge_terms(self._layout, False, self._shifted_slopes(values)))
 
     def intensity_vector(self, values: np.ndarray) -> np.ndarray:
         """Flat per-edge optimal intensities at the given value vector."""
-        return self._at_values(_MAXIMIZER, values)
+        return _edge_terms(self._layout, True, self._shifted_slopes(values))
 
     def running_cost_vector(self, lam_flat: np.ndarray) -> np.ndarray:
         """Per-node running costs L(i, lam(i, .)) from flat intensities."""

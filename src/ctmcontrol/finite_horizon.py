@@ -116,7 +116,9 @@ def solve_finite_horizon(problem: Problem, rtol: float = DEFAULT_RTOL,
     grid = output_grid(problem.horizon)
 
     def rhs(_s, w):
-        return model.hamiltonian_vector(w) - r * w
+        dw = model.hamiltonian_vector(w)
+        dw -= r * w
+        return dw
 
     rows, stats = integrate_grid(rhs, grid, problem.terminal_payoff, rtol, atol)
     values = rows[::-1].copy()

@@ -35,7 +35,8 @@ _A = (
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# stage nodes as Python floats: t + c h stays out of numpy
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B_LOW = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B - _B_LOW
@@ -56,7 +57,9 @@ class StepStats:
 
 def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
     # the bits of np.sqrt(np.mean(...)): mean also sums with add.reduce
-    return math.sqrt(float(np.square(err / scale).sum()) / err.shape[0])
+    q = err / scale
+    np.square(q, out=q)
+    return math.sqrt(float(np.add.reduce(q)) / q.shape[0])
 
 
 def _initial_step(f, t0, y0, f0, span, rtol, atol) -> float:
@@ -79,30 +82,9 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol) -> float:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.2
-        return min(100.0 * h0, h1, span)
-
-
-def _step_once(f: Callable, t: float, y: np.ndarray, k1: np.ndarray, h: float,
-               rtol: float, atol: float):
-    """One trial step of size h from (t, y); returns (y_new, k7, err_norm).
-
-    A step whose stages turn non-finite gets a non-finite error norm.
-    The caller suppresses the overflow warnings met on the way there.
-    """
-    k = np.empty((7, y.shape[0]))
-    k[0] = k1
-    for s in range(1, 6):
-        ys = y + h * (_A[s] @ k[:s])
-        k[s] = f(t + _C[s] * h, ys)
-    y5 = y + h * (_A[6] @ k[:6])
-    k[6] = f(t + h, y5)  # FSAL stage doubles as next step's k1
-    err = h * (_E @ k)
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-    # a non-finite err shows in the norm, but an infinite y5 can give the
-    # finite norm 0 through an infinite scale, so y5 is tested here
-    if not np.isfinite(y5).all():
-        return y5, k[6], math.inf
-    return y5, k[6], _error_norm(err, scale)
+        # a proposal below the step floor would fail before its first
+        # trial, so the controller starts at the floor and grows from there
+        return max(min(100.0 * h0, h1, span), 1e-14 * span)
 
 
 def integrate_grid(f: Callable, grid: np.ndarray, y0: np.ndarray,
@@ -115,60 +97,91 @@ def integrate_grid(f: Callable, grid: np.ndarray, y0: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] < 2 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing with at least two points")
-    out = np.empty((grid.shape[0], np.asarray(y0).shape[0]))
+    points = grid.tolist()
+    n = np.asarray(y0).shape[0]
+    out = np.empty((len(points), n))
     out[0] = y0
-    t = float(grid[0])
+    t = points[0]
     y = np.asarray(y0, dtype=float).copy()
-    span = float(grid[-1]) - t
-    k1 = f(t, y)
-    h_ctrl = _initial_step(f, t, y, k1, span, rtol, atol)
+    span = points[-1] - t
+    floor = 1e-14 * span
+    # the stages k, with k[0] = f(t, y) handed on from the last accepted
+    # step (first same as last), and the work arrays every step reuses;
+    # y and y5, and |y| and |y5|, swap when a step is accepted
+    k = np.empty((7, n))
+    k[0] = f(t, y)
+    stages = [(s, _A[s], k[:s], _C[s]) for s in range(1, 6)]
+    a6, k6, k_last = _A[6], k[:6], k[6]
+    ys, err, scale = np.empty(n), np.empty(n), np.empty(n)
+    y5, abs_y, abs_y5 = np.empty(n), np.abs(y), np.empty(n)
+    h_ctrl = _initial_step(f, t, y, k[0], span, rtol, atol)
     facold = 1e-4
-    stats = StepStats()
+    accepted = rejected = 0
     nonfinite_last = False
     # non-finite stage values are detected and rejected in the loop, so
     # the overflow warnings they raise along the way are suppressed
     with np.errstate(invalid="ignore", over="ignore"):
-        for idx in range(1, grid.shape[0]):
-            target = float(grid[idx])
+        for idx in range(1, len(points)):
+            target = points[idx]
             while t < target:
                 remaining = target - t
                 h = min(h_ctrl, remaining)
-                if 0.0 < target - (t + h) < 1e-14 * span:
+                if 0.0 < target - (t + h) < floor:
                     # the sliver left before the target would be below the
                     # step floor, so the step stretches to land instead
                     h = remaining
-                landing = h == remaining  # accepted step ends exactly on target
-                clamped = h < h_ctrl
-                if h < 1e-14 * span:
+                if h < floor:
                     if nonfinite_last:
                         raise NumericOverflow(
                             f"right-hand side non-finite near t = {t}; state out of range"
                         )
                     raise StepSizeUnderflow(f"step {h} below 1e-14 of span {span} at t = {t}")
-                if stats.accepted + stats.rejected >= _MAX_STEPS:
+                if accepted + rejected >= _MAX_STEPS:
                     raise NoConvergence(f"step budget of {_MAX_STEPS} exhausted at t = {t}")
-                y_new, k_last, err = _step_once(f, t, y, k1, h, rtol, atol)
-                if not math.isfinite(err):
+                # one Dormand-Prince trial step; y + h (a . k) is evaluated
+                # as written, in place, since folding h into a changes bits
+                for s, a, ks, c in stages:
+                    a.dot(ks, out=ys)
+                    ys *= h
+                    ys += y
+                    k[s] = f(t + c * h, ys)
+                a6.dot(k6, out=y5)
+                y5 *= h
+                y5 += y
+                k_last[...] = f(t + h, y5)
+                np.abs(y5, out=abs_y5)
+                # a non-finite err shows in the norm, but an infinite y5 can
+                # give the finite norm 0 through an infinite scale
+                if math.isfinite(np.maximum.reduce(abs_y5)):
+                    _E.dot(k, out=err)
+                    err *= h
+                    np.maximum(abs_y, abs_y5, out=scale)
+                    scale *= rtol
+                    scale += atol
+                    err_norm = _error_norm(err, scale)
+                else:
+                    err_norm = math.inf
+                if not math.isfinite(err_norm):
                     nonfinite_last = True
-                    stats.rejected += 1
+                    rejected += 1
                     h_ctrl = h * _MIN_FACTOR
                     continue
                 nonfinite_last = False
-                if err <= 1.0:
+                if err_norm <= 1.0:
                     # PI growth factor; remembers the previous accepted error
-                    fac = (max(err, 1e-10) ** _EXPO) / (facold ** _BETA)
+                    fac = (max(err_norm, 1e-10) ** _EXPO) / (facold ** _BETA)
                     fac = max(1.0 / _MAX_FACTOR, min(1.0 / _MIN_FACTOR, fac / _SAFETY))
-                    h_next = h / fac
-                    facold = max(err, 1e-4)
-                    t = target if landing else t + h
-                    y = y_new
-                    k1 = k_last
-                    stats.accepted += 1
+                    facold = max(err_norm, 1e-4)
+                    accepted += 1
                     # a clamped step must not shrink the controller's proposal
-                    h_ctrl = max(h_next, h_ctrl) if clamped else h_next
+                    h_ctrl = max(h / fac, h_ctrl) if h < h_ctrl else h / fac
+                    t = target if h == remaining else t + h
+                    y, y5 = y5, y
+                    abs_y, abs_y5 = abs_y5, abs_y
+                    k[0] = k_last
                 else:
-                    stats.rejected += 1
-                    fac = (err ** _EXPO) / (facold ** _BETA)
+                    rejected += 1
+                    fac = (err_norm ** _EXPO) / (facold ** _BETA)
                     h_ctrl = h / min(1.0 / _MIN_FACTOR, fac / _SAFETY)
             out[idx] = y
-    return out, stats
+    return out, StepStats(accepted, rejected)

@@ -40,6 +40,11 @@ def ring_model(n_nodes=3, scale=1.0, family=CostFamily.ENTROPIC):
     return CostModel(graph, {e: EdgeCost(family, scale) for e in edges})
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def random_models(seed):
     """Strongly connected random models: every family, n from 2 to 40."""
     rng = np.random.default_rng(seed)

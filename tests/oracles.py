@@ -1,10 +1,12 @@
 """Independent oracles: brute-force and exact routes that share no solver code.
 
-Seven routes cross-check the library: a lambda-grid maximizer that
+Eight routes cross-check the library: a lambda-grid maximizer that
 never touches the closed-form conjugates, the closed forms evaluated
 on every edge in both families and picked per edge by np.where beside
-the per-family kernels, a fixed-step classical RK4
-backward march that never touches the adaptive integrator, a scalar
+the family-major kernels, a fixed-step classical RK4
+backward march that never touches the adaptive integrator, the
+Dormand-Prince driver as first written (fresh arrays for every step,
+stages as y + h * (a @ k)) beside the lean one, a scalar
 bisection for the stationary values of an entropic pair, the exact
 Cole-Hopf solution of all-entropic undiscounted models, a
 one-path-at-a-time exact sampler beside the batched one, and the dense
@@ -16,6 +18,8 @@ import math
 
 import numpy as np
 from numpy.random import Generator, Philox
+
+from ctmcontrol import NoConvergence, NumericOverflow, StepSizeUnderflow
 
 
 def grid_max_hamiltonian(model, node, p, lam_max=60.0, n_grid=2_000_001):
@@ -84,6 +88,119 @@ def rk4_backward(problem, n_steps=1000):
         k4 = f(w + h * k3)
         w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return w
+
+
+_DP5_A = (
+    np.array([], dtype=float),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+)
+_DP5_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP5_E = (np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+          - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                      187 / 2100, 1 / 40]))
+_DP5_BETA = 0.04
+_DP5_EXPO = 0.2 - 0.75 * _DP5_BETA
+
+
+def _dp5_initial_step(f, t0, y0, f0, span, rtol, atol):
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not np.all(np.isfinite(f0)):
+            return span * 1e-3
+        scale = atol + rtol * np.abs(y0)
+        d0 = float(np.sqrt(np.mean(np.square(y0 / scale))))
+        d1 = float(np.sqrt(np.mean(np.square(f0 / scale))))
+        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+        h0 = min(h0, span)
+        y1 = y0 + h0 * f0
+        f1 = f(t0 + h0, y1)
+        if not np.all(np.isfinite(f1)):
+            return span * 1e-3
+        d2 = float(np.sqrt(np.mean(np.square((f1 - f0) / scale)))) / h0
+        if max(d1, d2) <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
+        return min(100.0 * h0, h1, span)
+
+
+def _dp5_step(f, t, y, k1, h, rtol, atol):
+    k = np.empty((7, y.shape[0]))
+    k[0] = k1
+    for s in range(1, 6):
+        ys = y + h * (_DP5_A[s] @ k[:s])
+        k[s] = f(t + _DP5_C[s] * h, ys)
+    y5 = y + h * (_DP5_A[6] @ k[:6])
+    k[6] = f(t + h, y5)
+    err = h * (_DP5_E @ k)
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+    if not np.isfinite(y5).all():
+        return y5, k[6], math.inf
+    return y5, k[6], math.sqrt(float(np.square(err / scale).sum()) / err.shape[0])
+
+
+def dp5_integrate_grid(f, grid, y0, rtol, atol):
+    """Dormand-Prince 5(4) with grid landing, as the library first wrote it.
+
+    The same pair, PI controller, step floor and grid landing as
+    ode.integrate_grid, with a fresh stage array per step, each stage
+    as y + h * (A[s] @ k[:s]) and numpy-float stage times. Returns the
+    rows and (accepted, rejected).
+    """
+    grid = np.asarray(grid, dtype=float)
+    out = np.empty((grid.shape[0], np.asarray(y0).shape[0]))
+    out[0] = y0
+    t = float(grid[0])
+    y = np.asarray(y0, dtype=float).copy()
+    span = float(grid[-1]) - t
+    k1 = f(t, y)
+    h_ctrl = _dp5_initial_step(f, t, y, k1, span, rtol, atol)
+    facold = 1e-4
+    accepted = rejected = 0
+    nonfinite_last = False
+    with np.errstate(invalid="ignore", over="ignore"):
+        for idx in range(1, grid.shape[0]):
+            target = float(grid[idx])
+            while t < target:
+                remaining = target - t
+                h = min(h_ctrl, remaining)
+                if 0.0 < target - (t + h) < 1e-14 * span:
+                    h = remaining
+                landing = h == remaining
+                clamped = h < h_ctrl
+                if h < 1e-14 * span:
+                    if nonfinite_last:
+                        raise NumericOverflow(f"right-hand side non-finite near t = {t}")
+                    raise StepSizeUnderflow(f"step {h} below 1e-14 of span {span} at t = {t}")
+                if accepted + rejected >= 10_000_000:
+                    raise NoConvergence(f"step budget exhausted at t = {t}")
+                y_new, k_last, err = _dp5_step(f, t, y, k1, h, rtol, atol)
+                if not math.isfinite(err):
+                    nonfinite_last = True
+                    rejected += 1
+                    h_ctrl = h * 0.2
+                    continue
+                nonfinite_last = False
+                if err <= 1.0:
+                    fac = (max(err, 1e-10) ** _DP5_EXPO) / (facold ** _DP5_BETA)
+                    fac = max(1.0 / 10.0, min(1.0 / 0.2, fac / 0.9))
+                    h_next = h / fac
+                    facold = max(err, 1e-4)
+                    t = target if landing else t + h
+                    y = y_new
+                    k1 = k_last
+                    accepted += 1
+                    h_ctrl = max(h_next, h_ctrl) if clamped else h_next
+                else:
+                    rejected += 1
+                    fac = (err ** _DP5_EXPO) / (facold ** _DP5_BETA)
+                    h_ctrl = h / min(1.0 / 0.2, fac / 0.9)
+            out[idx] = y
+    return out, (accepted, rejected)
 
 
 def dense_generator(model, lam):

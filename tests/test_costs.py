@@ -20,7 +20,7 @@ from ctmcontrol import (
 )
 from ctmcontrol.fixtures import random_model
 
-from conftest import random_models, two_node_model
+from conftest import random_models, same_bits, two_node_model
 from oracles import dense_generator, grid_max_hamiltonian, where_edge_terms
 
 
@@ -226,15 +226,18 @@ def test_maximizer_is_gradient_of_hamiltonian():
 # the per-family kernels against the two-family np.where formulation
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def test_family_kernels_match_where_oracle_bit_for_bit():
-    for rng, model in random_models(109):
+    # the last model has nodes of out-degree 16 and more, whose long
+    # segments reduceat sums in an order of its own, so the terms must
+    # reach it in the flat order
+    wide = random_model(np.random.default_rng(112), 24, extra_edge_prob=0.9, family="mixed")
+    assert np.max(np.diff(wide.offsets)) >= 16
+    for rng, model in [*random_models(109), (np.random.default_rng(113), wide)]:
         n = model.n_nodes
-        for shape in ((n,), (6, n)):
+        # one family: the layout is the flat order itself
+        one_family = model.strict_monotone or not model.entropic.any()
+        assert (model._layout.order is None) == one_family
+        for shape in ((n,), (6, n), (3, 2, n)):
             # slopes in [-6, 6] cross 0, where the quadratic kernels kink
             values = rng.uniform(-3.0, 3.0, size=shape)
             slopes = values[..., model.edge_dst] - values[..., model.edge_src]
@@ -242,6 +245,7 @@ def test_family_kernels_match_where_oracle_bit_for_bit():
             ham = np.add.reduceat(conj, model.offsets[:-1], axis=-1)
             assert same_bits(model.hamiltonian_vector(values), ham)
             assert same_bits(model.intensity_vector(values), lam)
+            assert same_bits(model.slopes(values), slopes)
         for i in range(n):
             sl = model.node_slice(i)
             p = rng.uniform(-6.0, 6.0, size=sl.stop - sl.start)

@@ -5,8 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from ctmcontrol import NumericOverflow, StepSizeUnderflow
+from ctmcontrol import (
+    NoConvergence,
+    NumericOverflow,
+    Problem,
+    StepSizeUnderflow,
+    output_grid,
+    semigroup_apply,
+    solve_ergodic_direct,
+    solve_finite_horizon,
+)
+from ctmcontrol import stationary
+from ctmcontrol.finite_horizon import DEFAULT_ATOL, DEFAULT_RTOL
 from ctmcontrol.ode import _error_norm, integrate_grid
+
+from conftest import random_models, same_bits
+from oracles import dp5_integrate_grid
 
 
 def test_exponential_decay_accuracy():
@@ -88,6 +102,17 @@ def test_integrable_singularity_underflows_step():
         integrate_grid(f, (0.0, 1.0), np.array([0.0]), 1e-10, 1e-12)
 
 
+def test_huge_derivative_starts_at_the_step_floor():
+    # y' = 1e280 scales the first proposal to about 1e-59, below the
+    # floor of 1e-14 of the span; the first trial step is the floor,
+    # and the controller grows it from there
+    grid = np.linspace(0.0, 1.0, 5)
+    rows, stats = integrate_grid(lambda t, y: np.full_like(y, 1e280), grid, np.zeros(1),
+                                 1e-8, 1e-12)
+    assert np.array_equal(rows[:, 0], 1e280 * grid)
+    assert stats.rejected == 0
+
+
 def test_stats_count_rejections():
     # a kink forces at least one rejected step at tight tolerance
     def f(t, y):
@@ -143,3 +168,39 @@ def test_state_overflowing_to_inf_is_rejected():
     with pytest.raises(NumericOverflow):
         integrate_grid(lambda t, y: np.full_like(y, 1e308), (0.0, 3.0), np.zeros(2),
                        1e-8, 1e290)
+
+
+def test_driver_matches_reference_dp5_bit_for_bit(monkeypatch):
+    # the lean driver reuses its arrays and takes stages as a.dot(k)
+    # scaled by h and shifted by y in place, so its rows and step counts
+    # must be those of the driver as first written, on every solver route
+    checked = []
+
+    def against_reference(f, grid, y0, rtol, atol):
+        rows, stats = integrate_grid(f, grid, y0, rtol, atol)
+        ref_rows, ref_stats = dp5_integrate_grid(f, grid, y0, rtol, atol)
+        assert same_bits(rows, ref_rows)
+        assert (stats.accepted, stats.rejected) == ref_stats
+        checked.append(np.shape(y0))
+        return rows, stats
+
+    monkeypatch.setattr(stationary, "integrate_grid", against_reference)
+    for rng, model in random_models(111):
+        n = model.n_nodes
+        g = rng.uniform(-1.0, 1.0, size=n)
+        for r in (0.3, 0.0):
+            # the solver's own right-hand side against the plain H(w) - r w
+            traj = solve_finite_horizon(Problem(model, g, 1.0, r))
+            rows, (accepted, rejected) = dp5_integrate_grid(
+                lambda _s, w: model.hamiltonian_vector(w) - r * w, output_grid(1.0), g,
+                DEFAULT_RTOL, DEFAULT_ATOL)
+            assert same_bits(traj.values[:-1], rows[:0:-1])
+            assert (traj.step_count, traj.rejected_steps) == (accepted, rejected)
+        try:
+            solve_ergodic_direct(model)
+        except NoConvergence:
+            pass  # slowly mixing quadratic models; both flows were checked
+        semigroup_apply(model, 0.5, rng.uniform(-1.0, 1.0, size=(3, n)), 1.0)
+    # per model: the drifting sweep, the de-drifted flow and the batch
+    assert len(checked) == 3 * 18
+    assert checked[2::3] == [(3 * model.n_nodes,) for _, model in random_models(111)]
