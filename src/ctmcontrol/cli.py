@@ -93,19 +93,18 @@ def _require_window(opts: SolverOptions) -> None:
             f"solver t_max {opts.t_max!r} is below the long-time minimum {MIN_T_MAX!r}")
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write the header line, then one line per row, each as it is formatted."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(map(format_number, row)) + "\n" for row in rows)
 
 
 def cmd_solve(args) -> int:
     problem, opts = _load(args.problem)
     traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
     header = ["t"] + [f"V_{i + 1}" for i in range(problem.costs.n_nodes)]
-    rows = np.column_stack([traj.grid, traj.values])
-    _write_text(args.output, _csv(header, rows))
+    _write_csv(args.output, header, ((t, *v) for t, v in zip(traj.grid, traj.values)))
     summary = {
         "value_at_0": list(traj.values[0]),
         "max_residual": traj.max_residual,
@@ -124,8 +123,8 @@ def cmd_policy(args) -> int:
         f"lambda_{int(model.edge_src[e]) + 1}_{int(model.edge_dst[e]) + 1}"
         for e in range(model.n_edges)
     ]
-    rows = np.column_stack([policy.grid, policy.intensities])
-    _write_text(args.output, _csv(header, rows))
+    _write_csv(args.output, header,
+               ((t, *lam) for t, lam in zip(policy.grid, policy.intensities)))
     return EXIT_OK
 
 
@@ -202,7 +201,7 @@ def cmd_asymptotics(args) -> int:
     # the expansion describes the undiscounted flow; the file's discount, rtol and atol are unused
     deviations = deviation_profile(problem.costs, problem.terminal_payoff, horizons,
                                    opts.t_max)[1].tolist()
-    _write_text(args.output, _csv(["T", "deviation"], zip(horizons, deviations)))
+    _write_csv(args.output, ["T", "deviation"], zip(horizons, deviations))
     for prev, cur in zip(deviations, deviations[1:]):
         if cur > prev + 1e-8:
             return _fail(

@@ -93,7 +93,8 @@ class Policy:
 
     def __post_init__(self):
         lam = np.asarray(self.intensities, dtype=float)
-        if np.any(lam < 0.0) or not np.all(np.isfinite(lam)):
+        # two reductions, no mask the size of the table; a NaN fails both
+        if lam.size and not (np.min(lam) >= 0.0 and np.max(lam) < math.inf):
             raise ValueError("policy intensities must be finite and nonnegative")
         if self.mode is PolicyMode.TIME_VARYING:
             if self.grid is None or lam.ndim != 2 or lam.shape[0] != self.grid.shape[0]:
@@ -127,9 +128,32 @@ def solve_finite_horizon(problem: Problem, rtol: float = DEFAULT_RTOL,
     return replace(traj, max_residual=residual(problem, traj))
 
 
+# the trajectory consumers below map at most this many (row, edge)
+# entries through an edge kernel at once, and never less than one row
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _row_blocks(rows: int, n_edges: int) -> list[tuple[int, int]]:
+    """Half-open ranges covering 0..rows in blocks of _BLOCK_ENTRIES // n_edges rows."""
+    step = max(1, _BLOCK_ENTRIES // n_edges)
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def extract_policy(problem: Problem, trajectory: ValueTrajectory) -> Policy:
-    """Optimal feedback intensities along a solved value trajectory."""
-    lam = problem.costs.intensity_vector(trajectory.values)
+    """Optimal feedback intensities along a solved value trajectory.
+
+    Memory: the (K, edges) table plus O(block * edges) working arrays,
+    where a block is about 2**15 / edges grid rows (one at least). A
+    trajectory that fits in one block is mapped in a single call.
+    """
+    model, values = problem.costs, trajectory.values
+    blocks = _row_blocks(values.shape[0], model.n_edges)
+    if len(blocks) == 1:
+        lam = model.intensity_vector(values)
+    else:
+        lam = np.empty((values.shape[0], model.n_edges))
+        for lo, hi in blocks:
+            lam[lo:hi] = model.intensity_vector(values[lo:hi])
     return Policy(PolicyMode.TIME_VARYING, lam, trajectory.grid)
 
 
@@ -150,27 +174,30 @@ _OFFSET2 = _stencil_weights(np.arange(0.0, 9.0), 2.0)
 _OFFSET3 = _stencil_weights(np.arange(0.0, 9.0), 3.0)
 
 
-def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Eighth-order finite differences of the rows, interior points only.
+def _time_derivative(values: np.ndarray, dt: float, lo: int, hi: int) -> np.ndarray:
+    """Eighth-order finite differences of the rows lo+1..hi of the interior 1..M-1.
 
-    Returns rows 1..M-1. Centered nine-point stencils away from the
-    ends; the three rows nearest each end use offset nine-point
-    stencils of the same order, so truncation stays O(dt**8)
-    throughout. The high order matters: solutions develop a boundary
-    layer at the terminal time whose higher derivatives would dominate
-    a low-order difference.
+    Centered nine-point stencils away from the ends; the three rows
+    nearest each end use offset nine-point stencils of the same order,
+    so truncation stays O(dt**8) throughout. The high order matters:
+    solutions develop a boundary layer at the terminal time whose
+    higher derivatives would dominate a low-order difference. Each
+    row's bits do not depend on the range it is computed in.
     """
     v = values
     m = v.shape[0] - 1
-    d = np.empty((m - 1, v.shape[1]))
-    center = sum(w * v[4 + s: m - 3 + s] for s, w in zip(range(-4, 5), _CENTER9))
-    d[3:-3] = center / dt
-    d[0] = (_OFFSET1 @ v[:9]) / dt
-    d[1] = (_OFFSET2 @ v[:9]) / dt
-    d[2] = (_OFFSET3 @ v[:9]) / dt
-    d[-3] = -(_OFFSET3 @ v[:-10:-1]) / dt
-    d[-2] = -(_OFFSET2 @ v[:-10:-1]) / dt
-    d[-1] = -(_OFFSET1 @ v[:-10:-1]) / dt
+    d = np.empty((hi - lo, v.shape[1]))
+    # interior row j + 1 is row j of the derivative; j in [3, m - 4) is centered
+    c0, c1 = max(lo, 3), min(hi, m - 4)
+    if c0 < c1:
+        d[c0 - lo:c1 - lo] = sum(w * v[c0 + 1 + s: c1 + 1 + s]
+                                 for s, w in zip(range(-4, 5), _CENTER9)) / dt
+    for j, w in ((0, _OFFSET1), (1, _OFFSET2), (2, _OFFSET3)):
+        if lo <= j < hi:
+            d[j - lo] = (w @ v[:9]) / dt
+    for j, w in ((m - 4, _OFFSET3), (m - 3, _OFFSET2), (m - 2, _OFFSET1)):
+        if lo <= j < hi:
+            d[j - lo] = -(w @ v[:-10:-1]) / dt
     return d
 
 
@@ -178,17 +205,23 @@ def residual(problem: Problem, trajectory: ValueTrajectory) -> float:
     """Max equation residual over interior grid points and nodes.
 
     Approximates dV/dt by finite differences on the stored grid and
-    measures |dV/dt - r V + H(V)| in the infinity norm.
+    measures |dV/dt - r V + H(V)| in the infinity norm. Memory:
+    O(block * edges), with the row blocks of ``extract_policy``; only
+    each block's maximum is kept.
     """
     grid, values = trajectory.grid, trajectory.values
     if grid.shape[0] < 9:
         raise ValueError("residual needs at least nine grid points")
     dt = float(grid[1] - grid[0])
-    dvdt = _time_derivative(values, dt)
-    interior = values[1:-1]
-    ham = problem.costs.hamiltonian_vector(interior)
-    res = dvdt - problem.discount * interior + ham
-    return float(np.max(np.abs(res)))
+    model, r = problem.costs, problem.discount
+    worst = []
+    for lo, hi in _row_blocks(values.shape[0] - 2, model.n_edges):
+        dvdt = _time_derivative(values, dt, lo, hi)
+        interior = values[lo + 1:hi + 1]
+        ham = model.hamiltonian_vector(interior)
+        res = dvdt - r * interior + ham
+        worst.append(np.max(np.abs(res)))
+    return float(np.max(worst))
 
 
 @dataclass(frozen=True)

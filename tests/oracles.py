@@ -1,16 +1,17 @@
 """Independent oracles: brute-force and exact routes that share no solver code.
 
-Eight routes cross-check the library: a lambda-grid maximizer that
+These routes cross-check the library: a lambda-grid maximizer that
 never touches the closed-form conjugates, the closed forms evaluated
 on every edge in both families and picked per edge by np.where beside
-the family-major kernels, a fixed-step classical RK4
-backward march that never touches the adaptive integrator, the
-Dormand-Prince driver as first written (fresh arrays for every step,
-stages as y + h * (a @ k)) beside the lean one, a scalar
-bisection for the stationary values of an entropic pair, the exact
-Cole-Hopf solution of all-entropic undiscounted models, a
-one-path-at-a-time exact sampler beside the batched one, and the dense
-n x n generator beside the matrix-free one. Tests freeze expected
+the family-major kernels, a fixed-step classical RK4 backward march
+that never touches the adaptive integrator, the Dormand-Prince driver
+as first written (fresh arrays for every step, stages as
+y + h * (a @ k)) beside the lean one, a scalar bisection for the
+stationary values of an entropic pair, the exact Cole-Hopf solution
+of all-entropic undiscounted models, a one-path-at-a-time exact
+sampler beside the batched one, the dense n x n generator beside the
+matrix-free one, and the residual, policy table and CSV text built
+whole beside the blocked and streamed ones. Tests freeze expected
 values from these, or call them directly where the instance is random.
 """
 
@@ -201,6 +202,46 @@ def dp5_integrate_grid(f, grid, y0, rtol, atol):
                     h_ctrl = h / min(1.0 / 0.2, fac / 0.9)
             out[idx] = y
     return out, (accepted, rejected)
+
+
+def whole_residual(problem, trajectory):
+    """The finite-horizon residual as first written, over all rows at once.
+
+    The nine-point stencils of every interior row and H(V) on the
+    whole (K - 2, n) block in one kernel call; the blocked library
+    version must give the same bits.
+    """
+    from ctmcontrol.finite_horizon import _CENTER9, _OFFSET1, _OFFSET2, _OFFSET3
+
+    grid, v = trajectory.grid, trajectory.values
+    dt = float(grid[1] - grid[0])
+    m = v.shape[0] - 1
+    d = np.empty((m - 1, v.shape[1]))
+    center = sum(w * v[4 + s: m - 3 + s] for s, w in zip(range(-4, 5), _CENTER9))
+    d[3:-3] = center / dt
+    d[0] = (_OFFSET1 @ v[:9]) / dt
+    d[1] = (_OFFSET2 @ v[:9]) / dt
+    d[2] = (_OFFSET3 @ v[:9]) / dt
+    d[-3] = -(_OFFSET3 @ v[:-10:-1]) / dt
+    d[-2] = -(_OFFSET2 @ v[:-10:-1]) / dt
+    d[-1] = -(_OFFSET1 @ v[:-10:-1]) / dt
+    interior = v[1:-1]
+    ham = problem.costs.hamiltonian_vector(interior)
+    res = d - problem.discount * interior + ham
+    return float(np.max(np.abs(res)))
+
+
+def whole_policy_table(problem, trajectory):
+    """The (K, edges) optimal intensity table as first written: one kernel call."""
+    return problem.costs.intensity_vector(trajectory.values)
+
+
+def joined_csv(header, rows):
+    """A CSV table as first written: every line built, then one joined string."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(x), ".17g") for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def dense_generator(model, lam):

@@ -13,13 +13,16 @@ from ctmcontrol import (
     NoConvergence,
     Problem,
     ProblemFileError,
+    extract_policy,
     parse_problem_file,
     serialize_problem_file,
+    solve_finite_horizon,
 )
 from ctmcontrol.cli import main
 from ctmcontrol.fixtures import random_model
 import ctmcontrol.cli as cli
 from conftest import STRETCHED3_EDGES
+from oracles import joined_csv
 
 PROBLEMS = ("symmetric2.json", "asymmetric2.json", "quadratic2.json", "ring3.json")
 
@@ -179,6 +182,36 @@ def test_solve_rejects_malformed_file(tmp_path, capsys):
 def test_solve_missing_file_is_input_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json"), str(tmp_path / "o.csv")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_solve_and_policy_stream_the_joined_table_text(tmp_path, capsys, name):
+    problem, opts = parse_problem_file(read(f"problems/{name}"))
+    traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
+    policy = extract_policy(problem, traj)
+    for command, table in (("solve", traj.values), ("policy", policy.intensities)):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, f"problems/{name}", str(out)]) == 0
+        data = out.read_bytes()
+        header = data[:data.index(b"\n")].decode().split(",")
+        assert data == joined_csv(header, np.column_stack([traj.grid, table])).encode()
+    capsys.readouterr()
+
+
+def test_streamed_csv_matches_joined_text(tmp_path):
+    rng = np.random.default_rng(41)
+    special = np.array([[0.0, -0.0, 5e-324, -1e-310, 1e300],
+                        [0.1, 1.0 / 3.0, -2.5, 7.0, 123456789.0]])
+    tables = [special, rng.normal(size=(17, 3)) * 10.0 ** rng.integers(-20, 20, (17, 3)),
+              rng.uniform(size=(0, 4))]
+    for k, table in enumerate(tables):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        out = tmp_path / f"{k}.csv"
+        cli._write_csv(str(out), header, table)
+        assert out.read_bytes() == joined_csv(header, table).encode()
+    pairs = [(10.0, 0.25), (20.0, 1e-17)]
+    cli._write_csv(str(out), ["T", "deviation"], pairs)
+    assert out.read_bytes() == joined_csv(["T", "deviation"], pairs).encode()
 
 
 def test_policy_symmetric_unit_rates(tmp_path):

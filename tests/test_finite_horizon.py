@@ -1,26 +1,32 @@
 """Backward value equation: closed forms, oracles, invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ctmcontrol import (
     CostFamily,
+    CostModel,
+    EdgeCost,
     NumericOverflow,
+    Policy,
     PolicyMode,
     Problem,
     ValueTrajectory,
+    build_graph,
     extract_policy,
     output_grid,
     residual,
     solve_finite_horizon,
     verify_comparison,
 )
+from ctmcontrol import finite_horizon
 from ctmcontrol.fixtures import random_model
 
-from conftest import two_node_model
-from oracles import cole_hopf, symmetric_discounted_value
+from conftest import random_models, same_bits, two_node_model
+from oracles import cole_hopf, symmetric_discounted_value, whole_policy_table, whole_residual
 
 
 def test_output_grid_sizes():
@@ -215,3 +221,88 @@ def test_quadratic_value_solves_closed_form(quadratic2):
     traj = solve_finite_horizon(problem)
     expected = 0.5 * (problem.horizon - traj.grid)[:, None]
     assert np.max(np.abs(traj.values - expected)) < 1e-8
+
+
+def test_policy_rejects_negative_and_nonfinite_intensities():
+    grid = np.linspace(0.0, 1.0, 3)
+    for bad in (-1e-300, -math.inf, math.inf, math.nan):
+        table = np.ones((3, 2))
+        table[1, 0] = bad
+        with pytest.raises(ValueError):
+            Policy(PolicyMode.TIME_VARYING, table, grid)
+        with pytest.raises(ValueError):
+            Policy(PolicyMode.STATIONARY, table[1])
+    # a zero rate is valid with either sign
+    Policy(PolicyMode.STATIONARY, np.array([0.0, -0.0]))
+
+
+# row blocks of the trajectory consumers
+
+
+def test_row_blocks_match_whole_array_oracle_bit_for_bit(monkeypatch):
+    # rows per block: 1 and 2 put the three offset-stencil rows at each
+    # end into different blocks; 2, 3 and 64 leave a ragged last block on
+    # the 257- and 321-row grids; K - 2 and K rows take one call each
+    default = finite_horizon._BLOCK_ENTRIES
+    single = multiple = False
+    for rng, model in random_models(131):
+        edges = model.n_edges
+        problem = Problem(model, rng.uniform(-1.0, 1.0, model.n_nodes),
+                          float(rng.choice([1.0, 5.0])), float(rng.choice([0.0, 0.3])))
+        traj = solve_finite_horizon(problem)
+        k = traj.values.shape[0]
+        assert traj.max_residual == whole_residual(problem, traj)
+        table = whole_policy_table(problem, traj)
+        shorts = [ValueTrajectory(traj.grid[:m], traj.values[:m], math.nan, 0, 0)
+                  for m in (9, 10, 12, 16)]
+        for entries in (edges, 2 * edges, 3 * edges, 64 * edges, (k - 2) * edges,
+                        k * edges, default):
+            monkeypatch.setattr(finite_horizon, "_BLOCK_ENTRIES", entries)
+            assert residual(problem, traj) == whole_residual(problem, traj)
+            assert same_bits(extract_policy(problem, traj).intensities, table)
+            for short in shorts:
+                assert residual(problem, short) == whole_residual(problem, short)
+        blocks = len(finite_horizon._row_blocks(k, edges))
+        single |= blocks == 1
+        multiple |= blocks > 1
+    assert single and multiple
+
+
+def ring_with_chords(rng, n):
+    """Ring i -> i + 1 plus chords i -> i + near_i and i -> i + far_i, built in O(edges).
+
+    near_i in [2, n / 2) and far_i in [n / 2, n - 1) never collide with
+    each other or the ring. Mixed families, scales U(0.5, 2), shifts
+    U(-0.5, 0.5).
+    """
+    src = np.tile(np.arange(n), 3)
+    offset = np.concatenate([np.ones(n, dtype=int), rng.integers(2, n // 2, n),
+                             rng.integers(n // 2, n - 1, n)])
+    edges = list(zip(src.tolist(), ((src + offset) % n).tolist()))
+    families = np.where(rng.random(len(edges)) < 0.5, "entropic", "quadratic")
+    scales, shifts = rng.uniform(0.5, 2.0, len(edges)), rng.uniform(-0.5, 0.5, len(edges))
+    return CostModel(build_graph(n, edges), {
+        e: EdgeCost(CostFamily(f), float(a), float(b))
+        for e, f, a, b in zip(edges, families.tolist(), scales, shifts)})
+
+
+def test_solve_and_policy_hold_values_and_table_plus_blocks():
+    # a row block maps at most _BLOCK_ENTRIES float64 entries, and a
+    # kernel call holds a few arrays of that size; 16 of them (4 MiB)
+    # also cover the O(edges) layout and the O(n) integrator state
+    rng = np.random.default_rng(2024)
+    n = 3000
+    model = ring_with_chords(rng, n)
+    problem = Problem(model, rng.uniform(-1.0, 1.0, n), horizon=1.0)
+    k = output_grid(problem.horizon).shape[0]
+    margin = 16 * 8 * finite_horizon._BLOCK_ENTRIES
+    tracemalloc.start()
+    try:
+        traj = solve_finite_horizon(problem)
+        policy = extract_policy(problem, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * k * (n + model.n_edges) + margin
+    assert traj.max_residual == whole_residual(problem, traj)
+    assert same_bits(policy.intensities, whole_policy_table(problem, traj))
