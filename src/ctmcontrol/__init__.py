@@ -16,12 +16,9 @@ from .costs import (
     CostFamily,
     CostModel,
     EdgeCost,
-    PropertyCheck,
-    ValidationReport,
     cost,
     hamiltonian,
     optimal_intensities,
-    validate_assumptions,
 )
 from .errors import (
     ControlError,
@@ -63,7 +60,6 @@ from .simulate import (
     simulate,
 )
 from .stationary import (
-    DedriftedSeries,
     ErgodicMethod,
     ErgodicSolution,
     MaxPrincipleReport,
@@ -71,7 +67,6 @@ from .stationary import (
     StationaryComparisonReport,
     StationaryValue,
     check_strong_max_principle,
-    dedrift,
     q_diagnostic,
     semigroup_apply,
     solve_ergodic_direct,
@@ -86,12 +81,9 @@ __all__ = [
     "CostFamily",
     "CostModel",
     "EdgeCost",
-    "PropertyCheck",
-    "ValidationReport",
     "cost",
     "hamiltonian",
     "optimal_intensities",
-    "validate_assumptions",
     "ControlError",
     "DuplicateEdge",
     "HypothesisUnmet",
@@ -128,7 +120,6 @@ __all__ = [
     "estimate_value_gap",
     "evaluate_stationary_policy",
     "simulate",
-    "DedriftedSeries",
     "ErgodicMethod",
     "ErgodicSolution",
     "MaxPrincipleReport",
@@ -136,7 +127,6 @@ __all__ = [
     "StationaryComparisonReport",
     "StationaryValue",
     "check_strong_max_principle",
-    "dedrift",
     "q_diagnostic",
     "semigroup_apply",
     "solve_ergodic_direct",

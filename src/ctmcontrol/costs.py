@@ -160,15 +160,6 @@ class CostModel:
     def n_edges(self) -> int:
         return len(self.edge_src)
 
-    @functools.cached_property
-    def cost_floor(self) -> np.ndarray:
-        """Per-node additive lower bound on the running cost.
-
-        For both families min_lam l(lam) = -h(0), so the floor is -H(i, 0).
-        Computed on first use, so building a model runs no edge kernel.
-        """
-        return -self._node_sum(self.conjugate_terms(np.zeros(self.n_edges)))
-
     def node_slice(self, i: int) -> slice:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
@@ -188,22 +179,6 @@ class CostModel:
     def _layout(self) -> _Layout:
         """The family-major layout of every edge, built on first use."""
         return _family_major(self, np.arange(self.n_edges))
-
-    def _at_slopes(self, maximizer: bool, p_flat: np.ndarray, edges: slice | None) -> np.ndarray:
-        """A kernel on flat slopes, over all edges or over a slice of them."""
-        p = np.asarray(p_flat, dtype=float)
-        layout = (self._layout if edges is None
-                  else _family_major(self, np.arange(*edges.indices(self.n_edges))))
-        return _edge_terms(layout, maximizer, (p if layout.order is None
-                                               else p.T[layout.order].T) + layout.shift)
-
-    def conjugate_terms(self, p_flat: np.ndarray, edges: slice | None = None) -> np.ndarray:
-        """Edge conjugates h(p) = sup_{lam >= 0} lam * p - l(lam)."""
-        return self._at_slopes(False, p_flat, edges)
-
-    def maximizer_terms(self, p_flat: np.ndarray, edges: slice | None = None) -> np.ndarray:
-        """The intensities attaining the conjugate sups."""
-        return self._at_slopes(True, p_flat, edges)
 
     def cost_terms(self, lam_flat: np.ndarray,
                    edges: slice | np.ndarray | None = None) -> np.ndarray:
@@ -279,134 +254,19 @@ def cost(model: CostModel, i: int, lambdas) -> float:
     return float(np.sum(model.cost_terms(lam, model.node_slice(i))))
 
 
+def _node_edge_terms(model: CostModel, i: int, p, maximizer: bool) -> np.ndarray:
+    """Conjugates, or maximizers, of node i's outgoing edges at slopes p."""
+    arr = _node_array(model, i, p, "slope vector")
+    layout = _family_major(model, np.arange(model.offsets[i], model.offsets[i + 1]))
+    q = arr if layout.order is None else arr[layout.order]
+    return _edge_terms(layout, maximizer, q + layout.shift)
+
+
 def hamiltonian(model: CostModel, i: int, p) -> float:
     """H(i, p) = sum over outgoing edges of the edge conjugates h_ij(p_j)."""
-    arr = _node_array(model, i, p, "slope vector")
-    return float(np.sum(model.conjugate_terms(arr, model.node_slice(i))))
+    return float(np.sum(_node_edge_terms(model, i, p, False)))
 
 
 def optimal_intensities(model: CostModel, i: int, p) -> np.ndarray:
     """The intensities attaining the sup in H(i, p), one per outgoing edge."""
-    arr = _node_array(model, i, p, "slope vector")
-    return model.maximizer_terms(arr, model.node_slice(i))
-
-
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    passed: bool | None  # None means not asserted for this model
-    witness: dict | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[PropertyCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.passed is not None)
-
-    def __getitem__(self, name: str) -> PropertyCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def validate_assumptions(model: CostModel) -> ValidationReport:
-    """Sampled checks of the structural assumptions the solvers rely on.
-
-    Probes, over random slope and intensity samples: finiteness of the
-    costs, midpoint convexity and coordinatewise monotonicity of H, the
-    additive lower bound on L, and superlinear growth of L in the
-    intensities. Strict monotonicity is asserted when every edge is
-    entropic; for a purely quadratic model the check runs and reports
-    its failure with a witness; for mixed models it is not asserted.
-    Each check draws its samples in blocks of at most 64 rows and stops
-    at its first failing block, so memory is a few (64, edges) float
-    arrays; its witness is the first failing sample.
-    """
-    rng = np.random.default_rng(20240817)
-    m = model.n_edges
-    checks: list[PropertyCheck] = []
-
-    def node_h(p):
-        return model._node_sum(model.conjugate_terms(p))
-
-    def record(name: str, samples: int, probe) -> None:
-        """Run probe over blocks of fresh samples until a block fails.
-
-        probe(k) draws k samples and returns a (k, ...) mask of bad
-        entries and witness(j), the evidence for sample j of the block.
-        """
-        for start in range(0, samples, 64):
-            bad, witness = probe(min(64, samples - start))
-            rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
-            if rows.size:
-                checks.append(PropertyCheck(name, False, witness(int(rows[0]))))
-                return
-        checks.append(PropertyCheck(name, True, None))
-
-    def at_worst(score: np.ndarray, **entries: np.ndarray) -> dict:
-        """The node with the highest score, and each entry there."""
-        i = int(np.argmax(score))
-        return {"node": i, **{key: float(row[i]) for key, row in entries.items()}}
-
-    def finite_cost(k):
-        """L is finite at positive intensities."""
-        lam = rng.uniform(0.0, 10.0, size=(k, m))
-        return ~np.isfinite(model.cost_terms(lam)), lambda j: {"lam": lam[j].tolist()}
-
-    def convexity(k):
-        """Each node Hamiltonian is midpoint convex in the slopes."""
-        p, q = rng.uniform(-3.0, 3.0, size=(2, k, m))
-        hp, hq = node_h(p), node_h(q)
-        gap = node_h(0.5 * (p + q)) - 0.5 * (hp + hq)
-        return (gap > 1e-10 * (1.0 + np.abs(hp) + np.abs(hq)),
-                lambda j: at_worst(gap[j], gap=gap[j]))
-
-    def monotone(k):
-        """Coordinatewise monotonicity: p <= p' implies H <= H'."""
-        p = rng.uniform(-3.0, 3.0, size=(k, m))
-        hp, hq = node_h(p), node_h(p + rng.uniform(0.0, 2.0, size=(k, m)))
-        drop = hp - hq
-        return (drop > 1e-12 * (1.0 + np.abs(hq)),
-                lambda j: at_worst(drop[j], drop=drop[j]))
-
-    def strict_monotone(k):
-        """Raising any single slope raises H at its source."""
-        rows = np.arange(k)
-        p = rng.uniform(-3.0, 3.0, size=(k, m))
-        e = rng.integers(m, size=k)
-        q = p.copy()
-        q[rows, e] += rng.uniform(0.1, 1.0, size=k)
-        src = model.edge_src[e]
-        return (~(node_h(q)[rows, src] > node_h(p)[rows, src]),
-                lambda j: {"edge": (int(src[j]), int(model.edge_dst[e[j]])),
-                           "slope": float(p[j, e[j]])})
-
-    def bounded_below(k):
-        """The running cost is bounded below by the closed-form floor."""
-        floor = model.cost_floor
-        vals = model.running_cost_vector(rng.uniform(0.0, 20.0, size=(k, m)))
-        return (vals < floor - 1e-12 * (1.0 + np.abs(floor)),
-                lambda j: at_worst(floor - vals[j], value=vals[j], floor=floor))
-
-    def superlinear(k):
-        """L(c lam) / (c |lam|) grows without bound in c."""
-        lam = rng.uniform(0.5, 2.0, size=(k, m))
-        top = np.max(lam, axis=1, keepdims=True)
-        r = np.stack([model.running_cost_vector(c * lam) / (c * top) for c in (1e2, 1e4, 1e6)])
-        return ~((r[1] > r[0]) & (r[2] > r[1])), lambda j: {"ratios": r[:, j, 0].tolist()}
-
-    record("finite_cost", 100, finite_cost)
-    record("convexity", 1000, convexity)
-    record("monotone", 1000, monotone)
-    if model.strict_monotone or not model.entropic.any():
-        record("strict_monotone", 1000, strict_monotone)
-    else:
-        checks.append(PropertyCheck("strict_monotone", None, None))
-    record("bounded_below", 1000, bounded_below)
-    record("superlinear", 10, superlinear)
-
-    return ValidationReport(tuple(checks))
+    return _node_edge_terms(model, i, p, True)

@@ -108,7 +108,7 @@ def solve_finite_horizon(problem: Problem, rtol: float = DEFAULT_RTOL,
     """Integrate the backward value equation onto the output grid.
 
     Works in time-to-go s = T - t, where the system reads
-    dW/ds = H(W) - r W with W(0) = g, then reverses the rows. The
+    dW/ds = H(W) - r W with W(0) = g, then reverses the rows in place. The
     returned max_residual includes finite-difference truncation of the
     grid, so it scales like (grid spacing)**8 on top of solver error.
     """
@@ -121,22 +121,31 @@ def solve_finite_horizon(problem: Problem, rtol: float = DEFAULT_RTOL,
         dw -= r * w
         return dw
 
-    rows, stats = integrate_grid(rhs, grid, problem.terminal_payoff, rtol, atol)
-    values = rows[::-1].copy()
-    values[-1] = problem.terminal_payoff
+    values, stats = integrate_grid(rhs, grid, problem.terminal_payoff, rtol, atol)
+    _reverse_rows(values)
     traj = ValueTrajectory(grid, values, float("nan"), stats.accepted, stats.rejected)
     return replace(traj, max_residual=residual(problem, traj))
 
 
 # the trajectory consumers below map at most this many (row, edge)
-# entries through an edge kernel at once, and never less than one row
+# entries through an edge kernel at once, and never less than one row;
+# the solve reverses its value rows in blocks of this many entries
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _row_blocks(rows: int, n_edges: int) -> list[tuple[int, int]]:
-    """Half-open ranges covering 0..rows in blocks of _BLOCK_ENTRIES // n_edges rows."""
-    step = max(1, _BLOCK_ENTRIES // n_edges)
+def _row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
+    """Half-open ranges covering 0..rows in blocks of _BLOCK_ENTRIES // width rows."""
+    step = max(1, _BLOCK_ENTRIES // width)
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _reverse_rows(a: np.ndarray) -> None:
+    """Reverse the rows of a 2-D array in place, a block of row pairs at a time."""
+    k = a.shape[0]
+    for lo, hi in _row_blocks(k // 2, a.shape[1]):
+        top = a[lo:hi].copy()
+        a[lo:hi] = a[k - hi:k - lo][::-1]
+        a[k - hi:k - lo] = top[::-1]
 
 
 def extract_policy(problem: Problem, trajectory: ValueTrajectory) -> Policy:

@@ -12,8 +12,8 @@ Three related objects live here:
   integration, and both finish with a Newton refinement of the ergodic
   system seeded by their own estimate (the refinement rejects any seed
   it would have to move far, so it cannot mask a bad estimate);
-* diagnostics of the long-run behaviour: the de-drifted flow, its
-  sup-gap q(t) to the corrector which must decrease along the flow,
+* diagnostics of the long-run behaviour: the sup-gap q(t) of the
+  de-drifted flow to the corrector, which must decrease along the flow,
   its limit and the finite-horizon deviations from given terminal data,
   a semigroup evaluator for the de-drifted equation, and the comparison
   and strict-ordering checks that back them.
@@ -36,7 +36,6 @@ from .errors import (
     PreconditionUnmet,
     StrictnessViolation,
 )
-from .finite_horizon import ValueTrajectory
 from .krylov import gmres
 from .ode import integrate_grid
 
@@ -376,26 +375,6 @@ def deviation_profile(model: CostModel, payoff: np.ndarray, horizons,
 
 
 @dataclass(frozen=True)
-class DedriftedSeries:
-    """Forward-time values with the linear ergodic growth removed."""
-
-    grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-
-def dedrift(trajectory: ValueTrajectory, gamma: float) -> DedriftedSeries:
-    """Reverse a backward trajectory to forward time and remove gamma t.
-
-    The trajectory's values are indexed by remaining time; reading them
-    back to front gives the forward flow U(t) started from the terminal
-    data, and the series returned is U_i(t) - gamma t on the same grid.
-    """
-    u = trajectory.values[::-1]
-    vhat = u - gamma * trajectory.grid[:, None]
-    return DedriftedSeries(trajectory.grid.copy(), vhat)
-
-
-@dataclass(frozen=True)
 class QDiagnostic:
     """The running sup-gap from the corrector along the de-drifted flow."""
 
@@ -405,23 +384,33 @@ class QDiagnostic:
     converged: bool
 
 
-def q_diagnostic(series: DedriftedSeries, xi: np.ndarray) -> QDiagnostic:
+def q_diagnostic(grid: np.ndarray, vhat: np.ndarray, xi: np.ndarray) -> QDiagnostic:
     """q(t) = max_i (vhat_i(t) - xi_i), checked to be nonincreasing.
 
-    Any increase beyond 1e-9 between successive grid points
-    raises MonotonicityViolation: along the exact flow q only decreases,
-    so growth signals solver inaccuracy or a wrong (gamma, xi) pair.
-    The reported limit is the final value, flagged unconverged when the
+    vhat[k] is the de-drifted forward flow U(t) - gamma t at grid[k]
+    (from a solved trajectory, traj.values[::-1] - gamma * traj.grid[:, None]);
+    the grid must be strictly increasing, of two points at least, and vhat
+    (len(grid), n) for xi of shape (n,), else ValueError. Any increase
+    beyond 1e-9 between successive grid points raises
+    MonotonicityViolation: along the exact flow q only decreases, so
+    growth signals solver inaccuracy or a wrong (gamma, xi) pair. The
+    reported limit is the final value, flagged unconverged when the
     tail (from half the window on) still moves by 1e-6 or more.
     """
-    q, q_inf = _q_series(series.grid, series.values, xi, series.grid[-1])
+    grid, vhat, xi = (np.asarray(a, dtype=float) for a in (grid, vhat, xi))
+    if grid.ndim != 1 or grid.shape[0] < 2 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be strictly increasing with at least two points")
+    if xi.ndim != 1 or vhat.shape != (grid.shape[0], xi.shape[0]):
+        raise ValueError(f"series has shape {vhat.shape} and corrector {xi.shape}, "
+                         f"expected ({grid.shape[0]}, n) and (n,)")
+    q, q_inf = _q_series(grid, vhat, xi, grid[-1])
     rises = np.diff(q)
     worst = int(np.argmax(rises))
     if rises[worst] > 1e-9:
         raise MonotonicityViolation(
-            f"q rose by {rises[worst]:.3e} between t = {series.grid[worst]} and its successor"
+            f"q rose by {rises[worst]:.3e} between t = {grid[worst]} and its successor"
         )
-    return QDiagnostic(series.grid.copy(), q, q_inf, q_inf is not None)
+    return QDiagnostic(grid.copy(), q, q_inf, q_inf is not None)
 
 
 def semigroup_apply(model: CostModel, gamma: float, y: np.ndarray, t: float,

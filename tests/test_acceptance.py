@@ -16,7 +16,6 @@ from ctmcontrol import (
     PreconditionUnmet,
     Problem,
     check_strong_max_principle,
-    dedrift,
     estimate_value_gap,
     evaluate_stationary_policy,
     extract_policy,
@@ -30,7 +29,6 @@ from ctmcontrol import (
     verify_comparison,
 )
 from ctmcontrol.ode import integrate_grid
-from ctmcontrol.stationary import DedriftedSeries
 from ctmcontrol.fixtures import random_model
 
 from conftest import two_node_model
@@ -123,8 +121,7 @@ def test_criterion_05_q_monotone_convergence():
             return model.hamiltonian_vector(z) - gamma
 
         rows, _ = integrate_grid(flow, grid, g, 1e-10, 1e-12)
-        series = DedriftedSeries(grid, rows)
-        diag = q_diagnostic(series, sol.xi)
+        diag = q_diagnostic(grid, rows, sol.xi)
         worst_rise = max(worst_rise, float(np.max(np.diff(diag.q))))
         assert diag.converged
         worst_gap = max(worst_gap, float(

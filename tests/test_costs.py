@@ -1,11 +1,11 @@
-"""Cost families, Hamiltonians, maximizers, and assumption checks."""
+"""Cost families, Hamiltonians, maximizers, and their convexity, monotonicity and floor."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+import ctmcontrol
 from ctmcontrol import (
     CostFamily,
     CostModel,
@@ -16,8 +16,8 @@ from ctmcontrol import (
     cost,
     hamiltonian,
     optimal_intensities,
-    validate_assumptions,
 )
+from ctmcontrol import costs, stationary
 from ctmcontrol.fixtures import random_model
 
 from conftest import random_models, same_bits, two_node_model
@@ -184,7 +184,7 @@ def test_cost_bounded_below_by_floor():
     rng = np.random.default_rng(104)
     for _ in range(10):
         model = random_mixed_model(rng)
-        floor = model.cost_floor[0]
+        floor = -hamiltonian(model, 0, np.zeros(3))
         for _ in range(200):
             lam = rng.uniform(0.0, 8.0, size=3)
             assert cost(model, 0, lam) >= floor - 1e-12
@@ -193,7 +193,7 @@ def test_cost_bounded_below_by_floor():
 def test_entropic_floor_attained():
     # min over lambda of lambda(ln(lambda/a) - 1) - b lambda is -a e^b
     model = fan_model([EdgeCost(CostFamily.ENTROPIC, 1.5, 0.4)])
-    floor = model.cost_floor[0]
+    floor = -hamiltonian(model, 0, np.zeros(1))
     assert floor == pytest.approx(-1.5 * math.exp(0.4), rel=1e-14)
     lam_best = 1.5 * math.exp(0.4)
     assert cost(model, 0, np.array([lam_best])) == pytest.approx(floor, rel=1e-12)
@@ -205,7 +205,7 @@ def test_entropic_floor_attained():
 def test_quadratic_floor_attained():
     model = fan_model([EdgeCost(CostFamily.QUADRATIC, 2.0, 0.5)])
     # minimum of x^2/(2a) - b x at x = ab is -a b^2 / 2
-    assert model.cost_floor[0] == pytest.approx(-2.0 * 0.25 / 2.0, rel=1e-14)
+    assert -hamiltonian(model, 0, np.zeros(1)) == pytest.approx(-2.0 * 0.25 / 2.0, rel=1e-14)
     assert cost(model, 0, np.array([1.0])) == pytest.approx(-0.25, rel=1e-12)
 
 
@@ -316,50 +316,6 @@ def test_generator_apply_matches_dense_oracle():
         assert np.allclose(model.exit_rates(lam), -np.diag(q), rtol=1e-13, atol=0.0)
 
 
-# validate_assumptions
-
-
-def test_validation_entropic_all_pass():
-    report = validate_assumptions(two_node_model())
-    assert report.passed
-    assert report["strict_monotone"].passed is True
-
-
-def test_validation_quadratic_strictness_fails_with_witness():
-    shifts = {(0, 1): 0.3, (1, 0): -0.2}
-    model = two_node_model(family=CostFamily.QUADRATIC, shift_12=0.3, shift_21=-0.2)
-    report = validate_assumptions(model)
-    check = report["strict_monotone"]
-    assert check.passed is False
-    # a raise of at least 0.1 leaves H flat only where slope + shift <= -0.1
-    assert check.witness["slope"] + shifts[check.witness["edge"]] <= -0.1
-    assert report["monotone"].passed is True
-
-
-def test_validation_mixed_strictness_not_asserted():
-    graph = build_graph(2, [(0, 1), (1, 0)])
-    model = CostModel(graph, {
-        (0, 1): EdgeCost(CostFamily.ENTROPIC, 1.0),
-        (1, 0): EdgeCost(CostFamily.QUADRATIC, 1.0),
-    })
-    assert not model.strict_monotone
-    report = validate_assumptions(model)
-    assert report["strict_monotone"].passed is None
-
-
-def test_validation_memory_stays_bounded():
-    # samples are drawn in blocks, so peak memory does not grow with
-    # samples x edges (2,928 edges here)
-    model = random_model(np.random.default_rng(0), 300, extra_edge_prob=0.03, family="mixed")
-    tracemalloc.start()
-    try:
-        validate_assumptions(model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32e6
-
-
 # constructors
 
 
@@ -380,3 +336,18 @@ def test_cost_model_requires_exact_edge_cover():
             (1, 0): EdgeCost(CostFamily.ENTROPIC, 1.0),
             (0, 0): EdgeCost(CostFamily.ENTROPIC, 1.0),
         })
+
+
+# package surface
+
+
+def test_public_names_resolve_and_removed_names_are_gone():
+    for name in ctmcontrol.__all__:
+        getattr(ctmcontrol, name)
+    for name in ("validate_assumptions", "PropertyCheck", "ValidationReport",
+                 "DedriftedSeries", "dedrift"):
+        assert name not in ctmcontrol.__all__
+        for module in (ctmcontrol, costs, stationary):
+            assert not hasattr(module, name)
+    for name in ("cost_floor", "conjugate_terms", "maximizer_terms"):
+        assert not hasattr(CostModel, name)

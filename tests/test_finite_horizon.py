@@ -286,10 +286,25 @@ def ring_with_chords(rng, n):
         for e, f, a, b in zip(edges, families.tolist(), scales, shifts)})
 
 
+def test_rows_reverse_in_place_as_a_reversed_copy(monkeypatch):
+    # odd and even row counts; 1, 2 and 5 row pairs per block leave
+    # ragged last blocks, and 1000 takes one block
+    rng = np.random.default_rng(17)
+    for per_block in (1, 2, 5, 1000):
+        monkeypatch.setattr(finite_horizon, "_BLOCK_ENTRIES", 3 * per_block)
+        for rows in (1, 2, 3, 257, 258):
+            a = rng.uniform(size=(rows, 3))
+            want = a[::-1].copy()
+            finite_horizon._reverse_rows(a)
+            assert same_bits(a, want) and a.flags.c_contiguous
+
+
 def test_solve_and_policy_hold_values_and_table_plus_blocks():
     # a row block maps at most _BLOCK_ENTRIES float64 entries, and a
     # kernel call holds a few arrays of that size; 16 of them (4 MiB)
-    # also cover the O(edges) layout and the O(n) integrator state
+    # also cover the O(edges) layout and the O(n) integrator state.
+    # The solve alone holds one copy of the value rows: they are
+    # reversed in place, not copied
     rng = np.random.default_rng(2024)
     n = 3000
     model = ring_with_chords(rng, n)
@@ -299,10 +314,12 @@ def test_solve_and_policy_hold_values_and_table_plus_blocks():
     tracemalloc.start()
     try:
         traj = solve_finite_horizon(problem)
+        solve_peak = tracemalloc.get_traced_memory()[1]
         policy = extract_policy(problem, traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert solve_peak <= 8 * k * n + margin
     assert peak <= 8 * k * (n + model.n_edges) + margin
     assert traj.max_residual == whole_residual(problem, traj)
     assert same_bits(policy.intensities, whole_policy_table(problem, traj))

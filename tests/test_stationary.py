@@ -19,7 +19,6 @@ from ctmcontrol import (
     PreconditionUnmet,
     Problem,
     check_strong_max_principle,
-    dedrift,
     evaluate_stationary_policy,
     q_diagnostic,
     semigroup_apply,
@@ -30,7 +29,7 @@ from ctmcontrol import (
     build_graph,
     verify_stationary_comparison,
 )
-from ctmcontrol.stationary import DedriftedSeries, _refine_ergodic, deviation_profile
+from ctmcontrol.stationary import _refine_ergodic, deviation_profile
 from ctmcontrol.fixtures import random_model
 
 from conftest import ring_model, stretched3_model, two_node_model
@@ -328,25 +327,29 @@ def test_deviation_profile_rejects_unsettled_offset():
         deviation_profile(slow, np.array([0.0, 2e-5]), (10.0,), t_max=10.0)
 
 
+def dedrifted(traj, gamma):
+    """Forward-time values of a backward trajectory, less gamma t."""
+    return traj.values[::-1] - gamma * traj.grid[:, None]
+
+
 def test_dedrift_symmetric_zero_data(symmetric2):
     traj = solve_finite_horizon(Problem(symmetric2, np.zeros(2), horizon=5.0))
-    series = dedrift(traj, 1.0)
-    assert np.max(np.abs(series.values)) < 1e-8
-    assert series.grid[0] == 0.0 and series.grid[-1] == 5.0
+    vhat = dedrifted(traj, 1.0)
+    assert np.max(np.abs(vhat)) < 1e-8
+    assert traj.grid[0] == 0.0 and traj.grid[-1] == 5.0
 
 
 def test_dedrift_from_corrector_is_constant(asymmetric2):
     xi = np.array([0.0, -LOG2])
     traj = solve_finite_horizon(Problem(asymmetric2, xi, horizon=5.0))
-    series = dedrift(traj, 2.0)
-    assert np.max(np.abs(series.values - xi)) < 1e-7
+    vhat = dedrifted(traj, 2.0)
+    assert np.max(np.abs(vhat - xi)) < 1e-7
 
 
 def test_q_diagnostic_reads_off_constant_offset(asymmetric2):
     xi = np.array([0.0, -LOG2])
     traj = solve_finite_horizon(Problem(asymmetric2, xi + 3.0, horizon=20.0))
-    series = dedrift(traj, 2.0)
-    diag = q_diagnostic(series, xi)
+    diag = q_diagnostic(traj.grid, dedrifted(traj, 2.0), xi)
     assert diag.converged
     assert abs(diag.q_infinity - 3.0) < 1e-6
     assert np.all(np.diff(diag.q) <= 1e-9)
@@ -356,7 +359,22 @@ def test_q_diagnostic_rejects_rising_gap():
     grid = np.linspace(0.0, 1.0, 11)
     values = np.stack([grid, np.zeros(11)], axis=1)
     with pytest.raises(MonotonicityViolation):
-        q_diagnostic(DedriftedSeries(grid, values), np.zeros(2))
+        q_diagnostic(grid, values, np.zeros(2))
+
+
+@pytest.mark.parametrize("grid, vhat, xi, match", [
+    (np.zeros(1), np.zeros((1, 2)), np.zeros(2), "at least two points"),
+    (np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)), np.zeros(2), "strictly increasing"),
+    (np.array([1.0, 0.0]), np.zeros((2, 2)), np.zeros(2), "strictly increasing"),
+    (np.zeros((2, 1)), np.zeros((2, 2)), np.zeros(2), "strictly increasing"),
+    (np.linspace(0.0, 1.0, 12), np.zeros((11, 2)), np.zeros(2), r"\(11, 2\).*\(12, n\)"),
+    (np.linspace(0.0, 1.0, 11), np.zeros((11, 3)), np.zeros(2), r"\(11, 3\) and corrector \(2,\)"),
+    (np.linspace(0.0, 1.0, 11), np.zeros(11), np.zeros(2), r"shape \(11,\)"),
+    (np.linspace(0.0, 1.0, 11), np.zeros((11, 2)), np.zeros((2, 1)), r"corrector \(2, 1\)"),
+])
+def test_q_diagnostic_rejects_mismatched_arrays(grid, vhat, xi, match):
+    with pytest.raises(ValueError, match=match):
+        q_diagnostic(grid, vhat, xi)
 
 
 # shifted semigroup
