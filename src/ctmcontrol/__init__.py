@@ -23,7 +23,6 @@ from .costs import (
 from .errors import (
     ControlError,
     DuplicateEdge,
-    HypothesisUnmet,
     IsolatedNode,
     MonotonicityViolation,
     NegativeIntensity,
@@ -31,16 +30,13 @@ from .errors import (
     NotStronglyConnected,
     NumericOverflow,
     PolicyGridMismatch,
-    PreconditionUnmet,
     ProblemFileError,
     SelfLoop,
     SingularSystem,
     StepSizeUnderflow,
-    StrictnessViolation,
     ZeroVariance,
 )
 from .finite_horizon import (
-    ComparisonReport,
     Policy,
     PolicyMode,
     Problem,
@@ -49,7 +45,6 @@ from .finite_horizon import (
     output_grid,
     residual,
     solve_finite_horizon,
-    verify_comparison,
 )
 from .graph import Graph, build_graph
 from .problem_io import SolverOptions, parse_problem_file, serialize_problem_file
@@ -62,17 +57,13 @@ from .simulate import (
 from .stationary import (
     ErgodicMethod,
     ErgodicSolution,
-    MaxPrincipleReport,
     QDiagnostic,
-    StationaryComparisonReport,
     StationaryValue,
-    check_strong_max_principle,
     q_diagnostic,
     semigroup_apply,
     solve_ergodic_direct,
     solve_ergodic_vanishing_discount,
     solve_stationary,
-    verify_stationary_comparison,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +77,6 @@ __all__ = [
     "optimal_intensities",
     "ControlError",
     "DuplicateEdge",
-    "HypothesisUnmet",
     "IsolatedNode",
     "MonotonicityViolation",
     "NegativeIntensity",
@@ -94,14 +84,11 @@ __all__ = [
     "NotStronglyConnected",
     "NumericOverflow",
     "PolicyGridMismatch",
-    "PreconditionUnmet",
     "ProblemFileError",
     "SelfLoop",
     "SingularSystem",
     "StepSizeUnderflow",
-    "StrictnessViolation",
     "ZeroVariance",
-    "ComparisonReport",
     "Policy",
     "PolicyMode",
     "Problem",
@@ -110,7 +97,6 @@ __all__ = [
     "output_grid",
     "residual",
     "solve_finite_horizon",
-    "verify_comparison",
     "Graph",
     "build_graph",
     "SolverOptions",
@@ -122,16 +108,12 @@ __all__ = [
     "simulate",
     "ErgodicMethod",
     "ErgodicSolution",
-    "MaxPrincipleReport",
     "QDiagnostic",
-    "StationaryComparisonReport",
     "StationaryValue",
-    "check_strong_max_principle",
     "q_diagnostic",
     "semigroup_apply",
     "solve_ergodic_direct",
     "solve_ergodic_vanishing_discount",
     "solve_stationary",
-    "verify_stationary_comparison",
     "__version__",
 ]

@@ -158,8 +158,8 @@ def cmd_ergodic(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.paths < 1:
-        return _fail(EXIT_INPUT, f"--paths must be at least 1, got {args.paths}")
+    if args.paths < 2:
+        return _fail(EXIT_INPUT, f"--paths must be at least 2, got {args.paths}")
     if args.seed < 0:
         return _fail(EXIT_INPUT, f"--seed must be nonnegative, got {args.seed}")
     if args.seed >= 1 << 128:

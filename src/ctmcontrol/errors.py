@@ -53,18 +53,6 @@ class MonotonicityViolation(ControlError):
     """A quantity that must be monotone along the flow failed the check."""
 
 
-class StrictnessViolation(ControlError):
-    """Strict ordering expected from the flow did not hold numerically."""
-
-
-class PreconditionUnmet(ControlError):
-    """The caller-supplied data does not satisfy the operation's premise."""
-
-
-class HypothesisUnmet(ControlError):
-    """The inequality hypothesis of a comparison check fails on the input."""
-
-
 # simulation
 
 class PolicyGridMismatch(ControlError):

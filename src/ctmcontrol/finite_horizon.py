@@ -152,17 +152,12 @@ def extract_policy(problem: Problem, trajectory: ValueTrajectory) -> Policy:
     """Optimal feedback intensities along a solved value trajectory.
 
     Memory: the (K, edges) table plus O(block * edges) working arrays,
-    where a block is about 2**15 / edges grid rows (one at least). A
-    trajectory that fits in one block is mapped in a single call.
+    where a block is about 2**15 / edges grid rows (one at least).
     """
     model, values = problem.costs, trajectory.values
-    blocks = _row_blocks(values.shape[0], model.n_edges)
-    if len(blocks) == 1:
-        lam = model.intensity_vector(values)
-    else:
-        lam = np.empty((values.shape[0], model.n_edges))
-        for lo, hi in blocks:
-            lam[lo:hi] = model.intensity_vector(values[lo:hi])
+    lam = np.empty((values.shape[0], model.n_edges))
+    for lo, hi in _row_blocks(values.shape[0], model.n_edges):
+        lam[lo:hi] = model.intensity_vector(values[lo:hi])
     return Policy(PolicyMode.TIME_VARYING, lam, trajectory.grid)
 
 
@@ -232,28 +227,3 @@ def residual(problem: Problem, trajectory: ValueTrajectory) -> float:
         worst.append(np.max(np.abs(res)))
     return float(np.max(worst))
 
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Outcome of an ordering check between two solved trajectories."""
-
-    max_violation: float
-    satisfied: bool
-
-
-def verify_comparison(problem: Problem, g_low: np.ndarray,
-                      g_high: np.ndarray) -> ComparisonReport:
-    """Solve twice and check order propagation from the terminal data.
-
-    With g_low <= g_high coordinatewise, the low solution must stay
-    below the high one at every grid point of the problem's horizon, up
-    to 1e-8. The report carries the largest observed violation.
-    """
-    low = np.asarray(g_low, dtype=float)
-    high = np.asarray(g_high, dtype=float)
-    if np.any(low > high):
-        raise ValueError("g_low must be <= g_high coordinatewise")
-    traj_low = solve_finite_horizon(replace(problem, terminal_payoff=low))
-    traj_high = solve_finite_horizon(replace(problem, terminal_payoff=high))
-    violation = float(np.max(traj_low.values - traj_high.values))
-    return ComparisonReport(violation, violation <= 1e-8)

@@ -97,6 +97,8 @@ def integrate_grid(f: Callable, grid: np.ndarray, y0: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] < 2 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing with at least two points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid points must be finite")
     points = grid.tolist()
     n = np.asarray(y0).shape[0]
     out = np.empty((len(points), n))

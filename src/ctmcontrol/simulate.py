@@ -338,8 +338,11 @@ def estimate_value_gap(report: SimulationReport, reference: float) -> float:
     roundoff floor 1e-12 (1 + |reference|), yields exactly zero when
     the mean matches the reference to 1e-9 relative, and raises
     ZeroVariance otherwise since no statistical scale exists to judge
-    the discrepancy.
+    the discrepancy. A single-path report, whose standard error is NaN,
+    raises ValueError.
     """
+    if math.isnan(report.std_error):
+        raise ValueError("a single path has no standard error; simulate two paths at least")
     gap = report.mean_objective - float(reference)
     if report.std_error <= 1e-12 * (1.0 + abs(reference)):
         if abs(gap) <= 1e-9 * (1.0 + abs(reference)):

@@ -15,8 +15,7 @@ Three related objects live here:
 * diagnostics of the long-run behaviour: the sup-gap q(t) of the
   de-drifted flow to the corrector, which must decrease along the flow,
   its limit and the finite-horizon deviations from given terminal data,
-  a semigroup evaluator for the de-drifted equation, and the comparison
-  and strict-ordering checks that back them.
+  and a semigroup evaluator for the de-drifted equation.
 """
 
 from __future__ import annotations
@@ -29,12 +28,9 @@ import numpy as np
 
 from .costs import CostModel
 from .errors import (
-    HypothesisUnmet,
     MonotonicityViolation,
     NoConvergence,
     NumericOverflow,
-    PreconditionUnmet,
-    StrictnessViolation,
 )
 from .krylov import gmres
 from .ode import integrate_grid
@@ -426,8 +422,8 @@ def semigroup_apply(model: CostModel, gamma: float, y: np.ndarray, t: float,
     y = np.asarray(y, dtype=float)
     if y.ndim < 1 or y.shape[-1] != model.n_nodes:
         raise ValueError(f"state has shape {y.shape}, expected (..., {model.n_nodes})")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     if t == 0.0:
         return y.copy()
 
@@ -438,73 +434,3 @@ def semigroup_apply(model: CostModel, gamma: float, y: np.ndarray, t: float,
     rows, _ = integrate_grid(rhs, (0.0, t), y.reshape(-1), rtol, atol)
     return rows[-1].reshape(y.shape)
 
-
-@dataclass(frozen=True)
-class MaxPrincipleReport:
-    """Strict ordering evidence for the de-drifted flow at one time."""
-
-    time: float
-    min_gap: float
-
-
-def check_strong_max_principle(model: CostModel, gamma: float, y_low: np.ndarray,
-                               y_high: np.ndarray, t: float) -> MaxPrincipleReport:
-    """Ordered initial data must become strictly ordered everywhere.
-
-    Requires a strictly monotone model and initial data with y_low <=
-    y_high, strict at some node and equal at some other: under the flow
-    the order spreads through the graph and must be strict at every
-    node by time t > 0. Returns the minimal gap; a nonpositive gap
-    raises StrictnessViolation.
-    """
-    if not model.strict_monotone:
-        raise PreconditionUnmet("strong maximum principle needs a strictly monotone model")
-    lo = np.asarray(y_low, dtype=float)
-    hi = np.asarray(y_high, dtype=float)
-    if np.any(lo > hi):
-        raise PreconditionUnmet("y_low must be <= y_high coordinatewise")
-    if not np.any(lo < hi):
-        raise PreconditionUnmet("y_low and y_high must differ at some node")
-    if not np.any(lo == hi):
-        raise PreconditionUnmet("y_low and y_high must agree at some node")
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    a = semigroup_apply(model, gamma, lo, t)
-    b = semigroup_apply(model, gamma, hi, t)
-    gap = float(np.min(b - a))
-    if gap <= 0.0:
-        raise StrictnessViolation(f"minimal gap {gap} is not positive at time {t}")
-    return MaxPrincipleReport(t, gap)
-
-
-@dataclass(frozen=True)
-class StationaryComparisonReport:
-    """Outcome of the discounted comparison inequality check."""
-
-    hypothesis_margin: float
-    max_violation: float
-    satisfied: bool
-
-
-def verify_stationary_comparison(model: CostModel, eps: float, v: np.ndarray,
-                                 w: np.ndarray) -> StationaryComparisonReport:
-    """Check the sub/supersolution ordering for the discounted equation.
-
-    Hypothesis: -eps v_i + H(i, v) >= -eps w_i + H(i, w) at every node
-    (within roundoff slack); raises HypothesisUnmet otherwise. Under
-    it, v <= w must hold everywhere; the report carries the largest
-    violation of that conclusion.
-    """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    lhs = model.hamiltonian_vector(v) - eps * v
-    rhs = model.hamiltonian_vector(w) - eps * w
-    margin = float(np.min(lhs - rhs))
-    scale = 1.0 + float(np.max(np.abs(lhs))) + float(np.max(np.abs(rhs)))
-    if margin < -1e-12 * scale:
-        worst = int(np.argmin(lhs - rhs))
-        raise HypothesisUnmet(f"comparison hypothesis fails at node {worst} by {-margin:.3e}")
-    violation = float(np.max(v - w))
-    return StationaryComparisonReport(margin, violation, violation <= 1e-9)

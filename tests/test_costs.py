@@ -17,7 +17,7 @@ from ctmcontrol import (
     hamiltonian,
     optimal_intensities,
 )
-from ctmcontrol import costs, stationary
+from ctmcontrol import costs, errors, finite_horizon, stationary
 from ctmcontrol.fixtures import random_model
 
 from conftest import random_models, same_bits, two_node_model
@@ -345,9 +345,12 @@ def test_public_names_resolve_and_removed_names_are_gone():
     for name in ctmcontrol.__all__:
         getattr(ctmcontrol, name)
     for name in ("validate_assumptions", "PropertyCheck", "ValidationReport",
-                 "DedriftedSeries", "dedrift"):
+                 "DedriftedSeries", "dedrift", "verify_comparison", "ComparisonReport",
+                 "check_strong_max_principle", "MaxPrincipleReport",
+                 "verify_stationary_comparison", "StationaryComparisonReport",
+                 "StrictnessViolation", "PreconditionUnmet", "HypothesisUnmet"):
         assert name not in ctmcontrol.__all__
-        for module in (ctmcontrol, costs, stationary):
+        for module in (ctmcontrol, costs, errors, finite_horizon, stationary):
             assert not hasattr(module, name)
     for name in ("cost_floor", "conjugate_terms", "maximizer_terms"):
         assert not hasattr(CostModel, name)

@@ -20,7 +20,6 @@ from ctmcontrol import (
     output_grid,
     residual,
     solve_finite_horizon,
-    verify_comparison,
 )
 from ctmcontrol import finite_horizon
 from ctmcontrol.fixtures import random_model
@@ -171,19 +170,20 @@ def test_residual_flags_corrupted_row(symmetric2):
 
 def test_comparison_equal_data(symmetric2):
     problem = Problem(symmetric2, np.zeros(2), horizon=1.0)
-    report = verify_comparison(problem, np.zeros(2), np.zeros(2))
-    assert report.satisfied
-    assert report.max_violation == 0.0
+    low = solve_finite_horizon(problem).values
+    high = solve_finite_horizon(problem).values
+    assert np.max(low - high) == 0.0
 
 
 def test_comparison_uniform_gap_is_preserved():
     rng = np.random.default_rng(19)
     model = random_model(rng, n_nodes=3, family="entropic")
     g = rng.uniform(-1.0, 1.0, size=3)
-    problem = Problem(model, g, horizon=1.0)
-    report = verify_comparison(problem, g, g + 1.0)
-    assert report.satisfied
-    assert abs(report.max_violation + 1.0) < 1e-9
+    low = solve_finite_horizon(Problem(model, g, horizon=1.0)).values
+    high = solve_finite_horizon(Problem(model, g + 1.0, horizon=1.0)).values
+    violation = np.max(low - high)
+    assert violation <= 1e-8
+    assert abs(violation + 1.0) < 1e-9
 
 
 def test_comparison_random_instance():
@@ -191,16 +191,9 @@ def test_comparison_random_instance():
     model = random_model(rng, n_nodes=4, family="mixed")
     g_low = rng.uniform(-1.0, 1.0, size=4)
     g_high = g_low + rng.uniform(0.0, 1.0, size=4)
-    problem = Problem(model, g_low, horizon=1.0)
-    report = verify_comparison(problem, g_low, g_high)
-    assert report.satisfied
-    assert report.max_violation <= 1e-8
-
-
-def test_comparison_rejects_misordered_data(symmetric2):
-    problem = Problem(symmetric2, np.zeros(2), horizon=1.0)
-    with pytest.raises(ValueError):
-        verify_comparison(problem, np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    low = solve_finite_horizon(Problem(model, g_low, horizon=1.0)).values
+    high = solve_finite_horizon(Problem(model, g_high, horizon=1.0)).values
+    assert np.max(low - high) <= 1e-8
 
 
 def test_problem_validation(symmetric2):

@@ -75,6 +75,10 @@ def test_grid_must_strictly_increase():
     with pytest.raises(ValueError):
         integrate_grid(lambda t, y: -y, np.array([0.0, 0.5, 0.5]),
                        np.array([1.0]), 1e-8, 1e-10)
+    # a NaN point compares false, so it passes the ordering check alone
+    for grid in ([0.0, math.nan], [math.nan, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_grid(lambda t, y: -y, np.array(grid), np.array([1.0]), 1e-8, 1e-10)
 
 
 def test_blowup_stops_with_diagnosis():
