@@ -436,6 +436,28 @@ def test_max_principle_strict_gap(symmetric2):
 
 # discounted comparison
 
+def _comparison_margin(model, r, v, w):
+    # smallest node gap of (-r v + H(v)) - (-r w + H(w)); the comparison
+    # hypothesis holds when it is not below roundoff
+    return float(np.min((model.hamiltonian_vector(v) - r * v)
+                        - (model.hamiltonian_vector(w) - r * w)))
+
+
+def test_stationary_comparison_equal(symmetric2):
+    v = w = np.zeros(2)
+    assert _comparison_margin(symmetric2, 0.5, v, w) == 0.0
+    assert float(np.max(v - w)) == 0.0
+
+
+def test_stationary_comparison_constant_shift():
+    rng = np.random.default_rng(59)
+    model = random_model(rng, n_nodes=4, family="mixed")
+    w = solve_stationary(model, 0.5).u
+    v = w - 1.0
+    assert _comparison_margin(model, 0.5, v, w) > 0.0
+    assert abs(float(np.max(v - w)) + 1.0) < 1e-12
+
+
 def test_stationary_comparison_under_raised_shifts():
     # raising every edge's shift raises the Hamiltonian pointwise, so u
     # is a subsolution of the raised equation and lies below its solution;
