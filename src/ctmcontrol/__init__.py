@@ -24,7 +24,6 @@ from .errors import (
     ControlError,
     DuplicateEdge,
     IsolatedNode,
-    MonotonicityViolation,
     NegativeIntensity,
     NoConvergence,
     NotStronglyConnected,
@@ -55,11 +54,8 @@ from .simulate import (
     simulate,
 )
 from .stationary import (
-    ErgodicMethod,
     ErgodicSolution,
-    QDiagnostic,
     StationaryValue,
-    q_diagnostic,
     semigroup_apply,
     solve_ergodic_direct,
     solve_ergodic_vanishing_discount,
@@ -78,7 +74,6 @@ __all__ = [
     "ControlError",
     "DuplicateEdge",
     "IsolatedNode",
-    "MonotonicityViolation",
     "NegativeIntensity",
     "NoConvergence",
     "NotStronglyConnected",
@@ -106,11 +101,8 @@ __all__ = [
     "estimate_value_gap",
     "evaluate_stationary_policy",
     "simulate",
-    "ErgodicMethod",
     "ErgodicSolution",
-    "QDiagnostic",
     "StationaryValue",
-    "q_diagnostic",
     "semigroup_apply",
     "solve_ergodic_direct",
     "solve_ergodic_vanishing_discount",

@@ -8,9 +8,10 @@ in every file and column name. Outputs use LF line endings, '.'
 decimals with 17 significant digits, and are byte-identical across
 runs with identical inputs and seeds.
 
-Exit codes: 0 success, 2 input error (a bad problem file or option, or
-an output that cannot be written), 3 solver failure, 4 method
-disagreement, 5 statistical mismatch, 6 asymptotics violation.
+Exit codes: 0 success, 2 input error (a bad problem file or option, an
+output that cannot be written, or a horizon or --paths too large for
+any array to hold), 3 solver failure (a failed allocation included),
+4 method disagreement, 5 statistical mismatch, 6 asymptotics violation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from .errors import ControlError, ProblemFileError, ZeroVariance
-from .finite_horizon import Problem, extract_policy, solve_finite_horizon
+from .finite_horizon import MAX_FLOATS, Problem, extract_policy, solve_finite_horizon
 from .problem_io import SolverOptions, format_number, parse_problem_file
 from .simulate import estimate_value_gap, simulate
 from .stationary import (
@@ -86,6 +87,15 @@ def _load(path: str) -> tuple[Problem, SolverOptions]:
     return parse_problem_file(text)
 
 
+def _solve(path: str):
+    """Load and solve a problem file; a horizon no grid can hold is an input error."""
+    problem, opts = _load(path)
+    try:
+        return problem, solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
+    except ValueError as exc:  # raised by output_grid, before it allocates
+        raise ProblemFileError(str(exc)) from exc
+
+
 def _require_window(opts: SolverOptions) -> None:
     """The long-time integrations need t_max of at least MIN_T_MAX."""
     if opts.t_max < MIN_T_MAX:
@@ -101,8 +111,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def cmd_solve(args) -> int:
-    problem, opts = _load(args.problem)
-    traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
+    problem, traj = _solve(args.problem)
     header = ["t"] + [f"V_{i + 1}" for i in range(problem.costs.n_nodes)]
     _write_csv(args.output, header, ((t, *v) for t, v in zip(traj.grid, traj.values)))
     summary = {
@@ -115,8 +124,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_policy(args) -> int:
-    problem, opts = _load(args.problem)
-    traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
+    problem, traj = _solve(args.problem)
     policy = extract_policy(problem, traj)
     model = problem.costs
     header = ["t"] + [
@@ -160,12 +168,13 @@ def cmd_ergodic(args) -> int:
 def cmd_simulate(args) -> int:
     if args.paths < 2:
         return _fail(EXIT_INPUT, f"--paths must be at least 2, got {args.paths}")
+    if args.paths > MAX_FLOATS:
+        return _fail(EXIT_INPUT, f"--paths must be at most 2^53, got {args.paths}")
     if args.seed < 0:
         return _fail(EXIT_INPUT, f"--seed must be nonnegative, got {args.seed}")
     if args.seed >= 1 << 128:
         return _fail(EXIT_INPUT, f"--seed must be below 2^128, got {args.seed}")
-    problem, opts = _load(args.problem)
-    traj = solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
+    problem, traj = _solve(args.problem)
     policy = extract_policy(problem, traj)
     report = simulate(problem, policy, 0, args.paths, args.seed)
     reference = float(traj.values[0, 0])
@@ -263,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_INPUT, str(exc))
     except ControlError as exc:
         return _fail(EXIT_SOLVER, str(exc))
+    except MemoryError as exc:
+        return _fail(EXIT_SOLVER, f"out of memory: {exc}")
 
 
 def entrypoint() -> None:

@@ -49,10 +49,6 @@ class NoConvergence(ControlError):
     """An iterative solver exhausted its budget without meeting tolerance."""
 
 
-class MonotonicityViolation(ControlError):
-    """A quantity that must be monotone along the flow failed the check."""
-
-
 # simulation
 
 class PolicyGridMismatch(ControlError):

@@ -26,6 +26,9 @@ from .ode import StepStats, integrate_grid
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 
+# 2^53 float64 entries fill all 64 PiB of the largest 64-bit address space
+MAX_FLOATS = 2 ** 53
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -52,8 +55,11 @@ class Problem:
 
 
 def output_grid(horizon: float) -> np.ndarray:
-    """Uniform output grid: max(256, ceil(64 T)) intervals on [0, T]."""
+    """Uniform output grid: max(256, ceil(64 T)) intervals on [0, T], at most MAX_FLOATS."""
     intervals = max(256, math.ceil(64.0 * horizon))
+    if intervals >= MAX_FLOATS:
+        raise ValueError(f"horizon {horizon!r} needs {intervals + 1:.3g} grid points, "
+                         "more than an array can hold")
     return np.linspace(0.0, horizon, intervals + 1)
 
 

@@ -20,8 +20,9 @@ import numpy as np
 
 from .costs import CostFamily, CostModel, EdgeCost
 from .errors import IsolatedNode, NotStronglyConnected, ProblemFileError
-from .finite_horizon import Problem
+from .finite_horizon import DEFAULT_ATOL, DEFAULT_RTOL, Problem
 from .graph import build_graph
+from .stationary import DISCOUNT_LADDER
 
 _TOP_KEYS = ("nodes", "edges", "terminal_payoff", "horizon", "discount", "solver")
 _EDGE_KEYS = ("from", "to", "family", "scale", "shift")
@@ -33,10 +34,10 @@ _FAMILY_NAMES = {"entropic": CostFamily.ENTROPIC, "quadratic": CostFamily.QUADRA
 class SolverOptions:
     """Numerical knobs a problem file may override."""
 
-    rtol: float = 1e-8
-    atol: float = 1e-10
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
     t_max: float = 200.0
-    r_min: float = 2.0 ** -20
+    r_min: float = DISCOUNT_LADDER[-1]
 
 
 def format_number(x: float) -> str:

@@ -30,13 +30,6 @@ from .krylov import gmres
 
 _EPS = float(np.finfo(float).eps)
 
-__all__ = [
-    "SimulationReport",
-    "simulate",
-    "evaluate_stationary_policy",
-    "estimate_value_gap",
-]
-
 
 @dataclass(frozen=True)
 class SimulationReport:
@@ -252,14 +245,15 @@ def _sample_chunk(problem: Problem, s: _Schedule, start_node: int, seed: int,
 
 
 def simulate(problem: Problem, policy: Policy, start_node: int, n_paths: int,
-             seed: int, keep_paths: bool = False) -> SimulationReport:
+             seed: int) -> SimulationReport:
     """Estimate the objective from start_node by exact path sampling.
 
     Draws n_paths independent trajectories of the chain controlled by
     the policy, accumulating discounted rewards and the discounted
-    terminal payoff along each, and reports their mean and standard
-    error. Paths are advanced in chunks, in rounds that move every live
-    path of the chunk by one jump. Path p reads the stream of
+    terminal payoff along each, and reports their mean, standard error
+    and the values themselves, in path order. Paths are advanced in
+    chunks, in rounds that move every live path of the chunk by one
+    jump. Path p reads the stream of
     Generator(Philox(key=seed, counter=[0, p, 0, 0])), for a seed below
     2^128: two uniforms per jump, then one for the sojourn that reaches
     the horizon. So each path value is the one a path-by-path sampler
@@ -284,8 +278,7 @@ def simulate(problem: Problem, policy: Policy, start_node: int, n_paths: int,
         se = float(np.std(values, ddof=1) / math.sqrt(n_paths))
     else:
         se = float("nan")
-    return SimulationReport(n_paths, mean, se, seed, start_node,
-                            values if keep_paths else None)
+    return SimulationReport(n_paths, mean, se, seed, start_node, values)
 
 
 def evaluate_stationary_policy(model: CostModel, policy: Policy, r: float) -> np.ndarray:

@@ -12,26 +12,21 @@ Three related objects live here:
   integration, and both finish with a Newton refinement of the ergodic
   system seeded by their own estimate (the refinement rejects any seed
   it would have to move far, so it cannot mask a bad estimate);
-* diagnostics of the long-run behaviour: the sup-gap q(t) of the
-  de-drifted flow to the corrector, which must decrease along the flow,
-  its limit and the finite-horizon deviations from given terminal data,
-  and a semigroup evaluator for the de-drifted equation.
+* diagnostics of the long-run behaviour: the limit of the sup-gap
+  q(t) of the de-drifted flow to the corrector, the finite-horizon
+  deviations from given terminal data, and a semigroup evaluator for
+  the de-drifted equation.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costs import CostModel
-from .errors import (
-    MonotonicityViolation,
-    NoConvergence,
-    NumericOverflow,
-)
+from .errors import NoConvergence, NumericOverflow
 from .krylov import gmres
 from .ode import integrate_grid
 
@@ -158,11 +153,6 @@ def solve_stationary(model: CostModel, r: float,
     return StationaryValue(r, u, fnorm, iterations, krylov)
 
 
-class ErgodicMethod(enum.Enum):
-    VANISHING_DISCOUNT = "vanishing-discount"
-    DIRECT_LONG_TIME = "direct-long-time"
-
-
 @dataclass(frozen=True)
 class ErgodicSolution:
     """Ergodic constant gamma and corrector xi with xi[0] = 0 exactly.
@@ -178,7 +168,6 @@ class ErgodicSolution:
 
     gamma: float
     xi: np.ndarray = field(repr=False)
-    method: ErgodicMethod
     diagnostics: np.ndarray = field(repr=False)
     q_infinity: float | None = None
     non_unique_corrector: bool = False
@@ -273,8 +262,7 @@ def solve_ergodic_vanishing_discount(
             f"vanishing-discount diagnostics not settled: last two are {d_prev:.3e}, {d_last:.3e}"
         )
     gamma, xi, resid = _refine_ergodic(model, gamma_est, xi_est)
-    return ErgodicSolution(gamma, xi, ErgodicMethod.VANISHING_DISCOUNT, diags,
-                           None, not model.strict_monotone, resid)
+    return ErgodicSolution(gamma, xi, diags, None, not model.strict_monotone, resid)
 
 
 def _q_series(grid: np.ndarray, vhat: np.ndarray, xi: np.ndarray,
@@ -339,13 +327,12 @@ def solve_ergodic_direct(model: CostModel, t_max: float = 200.0) -> ErgodicSolut
     t_max / 4, t_max / 2 and t_max; gamma comes from the growth of node
     0 and xi from the final spread (see _ergodic_flow). The diagnostics
     are the (t, q(t)) rows at those four times, and q(t_max) is the
-    limit of the decreasing gap q once it has settled. A finer q(t)
-    series is q_diagnostic's job.
+    limit of the decreasing gap q once it has settled.
     """
     grid, gamma, xi, resid, vhat = _ergodic_flow(model, np.zeros(model.n_nodes), (), t_max)
     q, q_inf = _q_series(grid, vhat, xi, t_max)
-    return ErgodicSolution(gamma, xi, ErgodicMethod.DIRECT_LONG_TIME, np.column_stack([grid, q]),
-                           q_inf, not model.strict_monotone, resid)
+    return ErgodicSolution(gamma, xi, np.column_stack([grid, q]), q_inf,
+                           not model.strict_monotone, resid)
 
 
 def deviation_profile(model: CostModel, payoff: np.ndarray, horizons,
@@ -368,45 +355,6 @@ def deviation_profile(model: CostModel, payoff: np.ndarray, horizons,
         raise NoConvergence(f"deviation offset not stabilized over [0, {t_max}]")
     at = vhat[np.searchsorted(grid, horizons)]
     return q_inf, np.max(np.abs(at - xi - q_inf), axis=1)
-
-
-@dataclass(frozen=True)
-class QDiagnostic:
-    """The running sup-gap from the corrector along the de-drifted flow."""
-
-    grid: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
-    q_infinity: float | None
-    converged: bool
-
-
-def q_diagnostic(grid: np.ndarray, vhat: np.ndarray, xi: np.ndarray) -> QDiagnostic:
-    """q(t) = max_i (vhat_i(t) - xi_i), checked to be nonincreasing.
-
-    vhat[k] is the de-drifted forward flow U(t) - gamma t at grid[k]
-    (from a solved trajectory, traj.values[::-1] - gamma * traj.grid[:, None]);
-    the grid must be strictly increasing, of two points at least, and vhat
-    (len(grid), n) for xi of shape (n,), else ValueError. Any increase
-    beyond 1e-9 between successive grid points raises
-    MonotonicityViolation: along the exact flow q only decreases, so
-    growth signals solver inaccuracy or a wrong (gamma, xi) pair. The
-    reported limit is the final value, flagged unconverged when the
-    tail (from half the window on) still moves by 1e-6 or more.
-    """
-    grid, vhat, xi = (np.asarray(a, dtype=float) for a in (grid, vhat, xi))
-    if grid.ndim != 1 or grid.shape[0] < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing with at least two points")
-    if xi.ndim != 1 or vhat.shape != (grid.shape[0], xi.shape[0]):
-        raise ValueError(f"series has shape {vhat.shape} and corrector {xi.shape}, "
-                         f"expected ({grid.shape[0]}, n) and (n,)")
-    q, q_inf = _q_series(grid, vhat, xi, grid[-1])
-    rises = np.diff(q)
-    worst = int(np.argmax(rises))
-    if rises[worst] > 1e-9:
-        raise MonotonicityViolation(
-            f"q rose by {rises[worst]:.3e} between t = {grid[worst]} and its successor"
-        )
-    return QDiagnostic(grid.copy(), q, q_inf, q_inf is not None)
 
 
 def semigroup_apply(model: CostModel, gamma: float, y: np.ndarray, t: float,

@@ -17,7 +17,6 @@ from ctmcontrol import (
     estimate_value_gap,
     evaluate_stationary_policy,
     extract_policy,
-    q_diagnostic,
     semigroup_apply,
     simulate,
     solve_ergodic_direct,
@@ -118,11 +117,11 @@ def test_criterion_05_q_monotone_convergence():
             return model.hamiltonian_vector(z) - gamma
 
         rows, _ = integrate_grid(flow, grid, g, 1e-10, 1e-12)
-        diag = q_diagnostic(grid, rows, sol.xi)
-        worst_rise = max(worst_rise, float(np.max(np.diff(diag.q))))
-        assert diag.converged
-        worst_gap = max(worst_gap, float(
-            np.max(np.abs(rows[-1] - (sol.xi + diag.q_infinity)))))
+        q = np.max(rows - sol.xi, axis=1)
+        worst_rise = max(worst_rise, float(np.max(np.diff(q))))
+        # settled: q moves by less than 1e-6 from t_max / 2 (index 800) on
+        assert abs(q[-1] - q[800]) < 1e-6
+        worst_gap = max(worst_gap, float(np.max(np.abs(rows[-1] - (sol.xi + q[-1])))))
     assert worst_rise <= 1e-9
     assert worst_gap <= 1e-4
     print(f"ACCEPTANCE 5: PASS (max q rise {worst_rise:.2e}, "

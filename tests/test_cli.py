@@ -179,6 +179,21 @@ def test_solve_rejects_malformed_file(tmp_path, capsys):
     bad.write_text('{"nodes": "two"}')
     assert main(["solve", str(bad), str(tmp_path / "o.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+    # a horizon whose output grid outgrows any array is an input error;
+    # one within that bound but past the address space fails to allocate
+    out = tmp_path / "o.csv"
+    doc = json.loads(read("problems/ring3.json"))
+    for horizon, code, message in ((1e300, 2, "more than an array can hold"),
+                                   (1e13, 3, "out of memory")):
+        doc["horizon"] = horizon
+        bad.write_text(json.dumps(doc))
+        for command, *extra in (("solve",), ("policy",), ("simulate", "--paths", "200")):
+            assert main([command, str(bad), str(out), *extra]) == code, (horizon, command)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1
+            assert not out.exists()
+    # the ergodic routes do not read the horizon
+    assert main(["ergodic", str(bad), str(out), "--method", "vanishing"]) == 0
 
 
 def test_solve_missing_file_is_input_error(tmp_path, capsys):
@@ -340,6 +355,15 @@ def test_simulate_rejects_bad_paths(tmp_path, capsys):
         assert main(["simulate", "problems/symmetric2.json", str(out),
                      "--paths", paths]) == 2
         assert "--paths must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+    # more paths than any array can hold is an input error, found before
+    # solving; fewer, but past the address space, fail to allocate
+    for paths, code, message in ((10 ** 30, 2, "at most 2^53"),
+                                 (10 ** 15, 3, "out of memory")):
+        assert main(["simulate", "problems/ring3.json", str(out),
+                     "--paths", str(paths)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
     with pytest.raises(ValueError, match="single path"):
         estimate_value_gap(SimulationReport(1, 1.0, math.nan, 0, 0), 1.0)

@@ -348,7 +348,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
                  "DedriftedSeries", "dedrift", "verify_comparison", "ComparisonReport",
                  "check_strong_max_principle", "MaxPrincipleReport",
                  "verify_stationary_comparison", "StationaryComparisonReport",
-                 "StrictnessViolation", "PreconditionUnmet", "HypothesisUnmet"):
+                 "StrictnessViolation", "PreconditionUnmet", "HypothesisUnmet",
+                 "q_diagnostic", "QDiagnostic", "MonotonicityViolation", "ErgodicMethod"):
         assert name not in ctmcontrol.__all__
         for module in (ctmcontrol, costs, errors, finite_horizon, stationary):
             assert not hasattr(module, name)

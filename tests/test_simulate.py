@@ -68,8 +68,8 @@ def test_frozen_chain_pays_discounted_terminal():
 
 def test_simulation_is_reproducible(asymmetric2):
     problem = Problem(asymmetric2, np.array([0.0, 1.0]), horizon=1.0)
-    a = simulate(problem, unit_policy(), 0, 500, seed=9, keep_paths=True)
-    b = simulate(problem, unit_policy(), 0, 500, seed=9, keep_paths=True)
+    a = simulate(problem, unit_policy(), 0, 500, seed=9)
+    b = simulate(problem, unit_policy(), 0, 500, seed=9)
     assert a.mean_objective == b.mean_objective
     assert a.std_error == b.std_error
     assert np.array_equal(a.path_values, b.path_values)
@@ -79,12 +79,12 @@ def test_simulation_is_reproducible(asymmetric2):
 
 def test_path_prefix_independent_of_count(symmetric2):
     problem = Problem(symmetric2, np.array([0.0, 1.0]), horizon=1.0)
-    short = simulate(problem, unit_policy(), 0, 50, seed=4, keep_paths=True)
-    long = simulate(problem, unit_policy(), 0, 100, seed=4, keep_paths=True)
+    short = simulate(problem, unit_policy(), 0, 50, seed=4)
+    long = simulate(problem, unit_policy(), 0, 100, seed=4)
     assert np.array_equal(short.path_values, long.path_values[:50])
     # a prefix that ends inside the second chunk of paths
-    crossing = simulate(problem, unit_policy(), 0, _CHUNK + 50, seed=4, keep_paths=True)
-    longer = simulate(problem, unit_policy(), 0, 2 * _CHUNK + 7, seed=4, keep_paths=True)
+    crossing = simulate(problem, unit_policy(), 0, _CHUNK + 50, seed=4)
+    longer = simulate(problem, unit_policy(), 0, 2 * _CHUNK + 7, seed=4)
     assert np.array_equal(crossing.path_values, longer.path_values[:_CHUNK + 50])
     assert np.array_equal(crossing.path_values[:100], long.path_values)
 
@@ -95,7 +95,7 @@ def test_holding_times_are_exponential():
     problem = Problem(two_node_model(), np.zeros(2), horizon=20.0)
     policy = Policy(PolicyMode.STATIONARY, np.array([1.0, 0.0]))
     n = 8000
-    values = simulate(problem, policy, 0, n, seed=5, keep_paths=True).path_values
+    values = simulate(problem, policy, 0, n, seed=5).path_values
     mean = np.mean(values)
     se = np.std(values, ddof=1) / math.sqrt(n)
     assert abs(mean - (1.0 - math.exp(-20.0))) <= 3.0 * se
@@ -137,13 +137,13 @@ def test_batched_paths_match_scalar_oracle(r):
         repeated = Policy(PolicyMode.TIME_VARYING, short,
                           np.array([0.0, 0.25, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0]))
         for policy in (stationary, varying, repeated):
-            batched = simulate(problem, policy, 0, n_paths, seed=k, keep_paths=True)
+            batched = simulate(problem, policy, 0, n_paths, seed=k)
             expected = scalar_path_values(problem, policy, 0, n_paths, k)
             assert np.array_equal(batched.path_values, expected)
     # about twenty jumps a path, so every path refills its draws
     problem = Problem(two_node_model(scale_12=4.0), np.array([0.0, 1.0]), horizon=20.0,
                       discount=r)
-    busy = simulate(problem, unit_policy(), 1, n_paths, seed=3, keep_paths=True)
+    busy = simulate(problem, unit_policy(), 1, n_paths, seed=3)
     assert np.array_equal(busy.path_values,
                           scalar_path_values(problem, unit_policy(), 1, n_paths, 3))
 

@@ -10,14 +10,11 @@ from ctmcontrol import (
     CostFamily,
     CostModel,
     EdgeCost,
-    ErgodicMethod,
-    MonotonicityViolation,
     NoConvergence,
     Policy,
     PolicyMode,
     Problem,
     evaluate_stationary_policy,
-    q_diagnostic,
     semigroup_apply,
     solve_ergodic_direct,
     solve_ergodic_vanishing_discount,
@@ -162,7 +159,6 @@ def test_vanishing_discount_symmetric(symmetric2):
     sol = solve_ergodic_vanishing_discount(symmetric2)
     assert abs(sol.gamma - 1.0) < 1e-8
     assert np.max(np.abs(sol.xi)) < 1e-9
-    assert sol.method is ErgodicMethod.VANISHING_DISCOUNT
     assert sol.q_infinity is None
     assert not sol.non_unique_corrector
     assert sol.residual <= 1e-8
@@ -209,7 +205,6 @@ def test_direct_symmetric(symmetric2):
     sol = solve_ergodic_direct(symmetric2)
     assert abs(sol.gamma - 1.0) < 1e-8
     assert np.max(np.abs(sol.xi)) < 1e-8
-    assert sol.method is ErgodicMethod.DIRECT_LONG_TIME
     assert sol.q_infinity is not None and abs(sol.q_infinity) < 1e-6
     assert sol.residual <= 1e-8
 
@@ -345,32 +340,12 @@ def test_dedrift_from_corrector_is_constant(asymmetric2):
 def test_q_diagnostic_reads_off_constant_offset(asymmetric2):
     xi = np.array([0.0, -LOG2])
     traj = solve_finite_horizon(Problem(asymmetric2, xi + 3.0, horizon=20.0))
-    diag = q_diagnostic(traj.grid, dedrifted(traj, 2.0), xi)
-    assert diag.converged
-    assert abs(diag.q_infinity - 3.0) < 1e-6
-    assert np.all(np.diff(diag.q) <= 1e-9)
-
-
-def test_q_diagnostic_rejects_rising_gap():
-    grid = np.linspace(0.0, 1.0, 11)
-    values = np.stack([grid, np.zeros(11)], axis=1)
-    with pytest.raises(MonotonicityViolation):
-        q_diagnostic(grid, values, np.zeros(2))
-
-
-@pytest.mark.parametrize("grid, vhat, xi, match", [
-    (np.zeros(1), np.zeros((1, 2)), np.zeros(2), "at least two points"),
-    (np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)), np.zeros(2), "strictly increasing"),
-    (np.array([1.0, 0.0]), np.zeros((2, 2)), np.zeros(2), "strictly increasing"),
-    (np.zeros((2, 1)), np.zeros((2, 2)), np.zeros(2), "strictly increasing"),
-    (np.linspace(0.0, 1.0, 12), np.zeros((11, 2)), np.zeros(2), r"\(11, 2\).*\(12, n\)"),
-    (np.linspace(0.0, 1.0, 11), np.zeros((11, 3)), np.zeros(2), r"\(11, 3\) and corrector \(2,\)"),
-    (np.linspace(0.0, 1.0, 11), np.zeros(11), np.zeros(2), r"shape \(11,\)"),
-    (np.linspace(0.0, 1.0, 11), np.zeros((11, 2)), np.zeros((2, 1)), r"corrector \(2, 1\)"),
-])
-def test_q_diagnostic_rejects_mismatched_arrays(grid, vhat, xi, match):
-    with pytest.raises(ValueError, match=match):
-        q_diagnostic(grid, vhat, xi)
+    # q(t) = max_i (vhat_i(t) - xi_i), settled once it moves by less than
+    # 1e-6 from half the window on
+    q = np.max(dedrifted(traj, 2.0) - xi, axis=1)
+    assert abs(q[-1] - q[np.searchsorted(traj.grid, 10.0)]) < 1e-6
+    assert abs(q[-1] - 3.0) < 1e-6
+    assert np.all(np.diff(q) <= 1e-9)
 
 
 # shifted semigroup
