@@ -26,13 +26,7 @@ from .errors import ControlError, ProblemFileError, ZeroVariance
 from .finite_horizon import MAX_FLOATS, Problem, extract_policy, solve_finite_horizon
 from .problem_io import SolverOptions, format_number, parse_problem_file
 from .simulate import estimate_value_gap, simulate
-from .stationary import (
-    DISCOUNT_LADDER,
-    MIN_T_MAX,
-    deviation_profile,
-    solve_ergodic_direct,
-    solve_ergodic_vanishing_discount,
-)
+from .stationary import deviation_profile, solve_ergodic_direct, solve_ergodic_vanishing_discount
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -87,20 +81,18 @@ def _load(path: str) -> tuple[Problem, SolverOptions]:
     return parse_problem_file(text)
 
 
-def _solve(path: str):
-    """Load and solve a problem file; a horizon no grid can hold is an input error."""
-    problem, opts = _load(path)
+def _checked(route, *args, **kwargs):
+    """Call a library route; a file value it rejects with ValueError is an input error."""
     try:
-        return problem, solve_finite_horizon(problem, rtol=opts.rtol, atol=opts.atol)
-    except ValueError as exc:  # raised by output_grid, before it allocates
+        return route(*args, **kwargs)
+    except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
 
 
-def _require_window(opts: SolverOptions) -> None:
-    """The long-time integrations need t_max of at least MIN_T_MAX."""
-    if opts.t_max < MIN_T_MAX:
-        raise ProblemFileError(
-            f"solver t_max {opts.t_max!r} is below the long-time minimum {MIN_T_MAX!r}")
+def _solve(path: str):
+    """Load and solve a problem file; a horizon no grid can hold is an input error."""
+    problem, opts = _load(path)
+    return problem, _checked(solve_finite_horizon, problem, rtol=opts.rtol, atol=opts.atol)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -139,19 +131,13 @@ def cmd_policy(args) -> int:
 def cmd_ergodic(args) -> int:
     problem, opts = _load(args.problem)
     model, method = problem.costs, args.method
-    ladder = tuple(r for r in DISCOUNT_LADDER if r >= opts.r_min * (1.0 - 1e-12))
-    if method in ("vanishing", "both") and len(ladder) < 2:
-        raise ProblemFileError(
-            f"solver r_min {opts.r_min} leaves fewer than two discounts in the sweep")
-    if method in ("direct", "both"):
-        _require_window(opts)
     if method == "vanishing":
-        sol = solve_ergodic_vanishing_discount(model, ladder)
+        sol = _checked(solve_ergodic_vanishing_discount, model, opts.r_min)
     elif method == "direct":
-        sol = solve_ergodic_direct(model, opts.t_max)
+        sol = _checked(solve_ergodic_direct, model, opts.t_max)
     else:
-        sol_v = solve_ergodic_vanishing_discount(model, ladder)
-        sol = solve_ergodic_direct(model, opts.t_max)
+        sol_v = _checked(solve_ergodic_vanishing_discount, model, opts.r_min)
+        sol = _checked(solve_ergodic_direct, model, opts.t_max)
         if abs(sol_v.gamma - sol.gamma) > 1e-5:
             return _fail(EXIT_DISAGREEMENT, f"ergodic constants disagree: vanishing-discount "
                                             f"{sol_v.gamma!r}, direct {sol.gamma!r}")
@@ -206,10 +192,9 @@ def cmd_asymptotics(args) -> int:
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         return _fail(EXIT_INPUT, "--horizons must be strictly increasing")
     problem, opts = _load(args.problem)
-    _require_window(opts)
     # the expansion describes the undiscounted flow; the file's discount, rtol and atol are unused
-    deviations = deviation_profile(problem.costs, problem.terminal_payoff, horizons,
-                                   opts.t_max)[1].tolist()
+    deviations = _checked(deviation_profile, problem.costs, problem.terminal_payoff, horizons,
+                          opts.t_max)[1].tolist()
     _write_csv(args.output, ["T", "deviation"], zip(horizons, deviations))
     for prev, cur in zip(deviations, deviations[1:]):
         if cur > prev + 1e-8:

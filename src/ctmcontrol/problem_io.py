@@ -22,7 +22,7 @@ from .costs import CostFamily, CostModel, EdgeCost
 from .errors import IsolatedNode, NotStronglyConnected, ProblemFileError
 from .finite_horizon import DEFAULT_ATOL, DEFAULT_RTOL, Problem
 from .graph import build_graph
-from .stationary import DISCOUNT_LADDER
+from .stationary import DEFAULT_T_MAX, DISCOUNT_LADDER
 
 _TOP_KEYS = ("nodes", "edges", "terminal_payoff", "horizon", "discount", "solver")
 _EDGE_KEYS = ("from", "to", "family", "scale", "shift")
@@ -36,7 +36,7 @@ class SolverOptions:
 
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    t_max: float = 200.0
+    t_max: float = DEFAULT_T_MAX
     r_min: float = DISCOUNT_LADDER[-1]
 
 

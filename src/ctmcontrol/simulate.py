@@ -25,7 +25,7 @@ import numpy as np
 
 from .costs import CostModel
 from .errors import PolicyGridMismatch, SingularSystem, ZeroVariance
-from .finite_horizon import Policy, PolicyMode, Problem
+from .finite_horizon import MAX_FLOATS, Policy, PolicyMode, Problem
 from .krylov import gmres
 
 _EPS = float(np.finfo(float).eps)
@@ -244,6 +244,10 @@ def _sample_chunk(problem: Problem, s: _Schedule, start_node: int, seed: int,
     return values
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def simulate(problem: Problem, policy: Policy, start_node: int, n_paths: int,
              seed: int) -> SimulationReport:
     """Estimate the objective from start_node by exact path sampling.
@@ -258,27 +262,24 @@ def simulate(problem: Problem, policy: Policy, start_node: int, n_paths: int,
     2^128: two uniforms per jump, then one for the sojourn that reaches
     the horizon. So each path value is the one a path-by-path sampler
     gives, bit for bit, and any prefix of paths is unaffected by the
-    total count.
+    total count. n_paths must be an integer in [2, 2^53] and seed one
+    in [0, 2^128); both are checked before any work.
     """
     model = problem.costs
     if not 0 <= start_node < model.n_nodes:
         raise ValueError(f"start node {start_node} out of range for {model.n_nodes} nodes")
-    if n_paths < 1:
-        raise ValueError(f"need at least one path, got {n_paths}")
-    if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed must be in [0, 2^128), got {seed}")
+    if not (_is_int(n_paths) and 2 <= n_paths <= MAX_FLOATS):
+        raise ValueError(f"n_paths must be an integer in [2, 2^53], got {n_paths!r}")
+    if not (_is_int(seed) and 0 <= seed < 1 << 128):
+        raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     schedule = _build_schedule(problem, policy)
     paths = np.arange(n_paths)
     values = np.concatenate([
         _sample_chunk(problem, schedule, start_node, int(seed), paths[i:i + _CHUNK])
         for i in range(0, n_paths, _CHUNK)
     ])
-    mean = float(np.mean(values))
-    if n_paths > 1:
-        se = float(np.std(values, ddof=1) / math.sqrt(n_paths))
-    else:
-        se = float("nan")
-    return SimulationReport(n_paths, mean, se, seed, start_node, values)
+    se = float(np.std(values, ddof=1) / math.sqrt(n_paths))
+    return SimulationReport(n_paths, float(np.mean(values)), se, seed, start_node, values)
 
 
 def evaluate_stationary_policy(model: CostModel, policy: Policy, r: float) -> np.ndarray:
@@ -293,10 +294,10 @@ def evaluate_stationary_policy(model: CostModel, policy: Policy, r: float) -> np
     about 2e3. The sup-norm residual must therefore be within
     1e-12 (1 + |u|) + 8 eps (r + 2 max_i rate_i) |u|: the absolute
     bound plus a small multiple of that rounding floor. Requires a
-    stationary policy and a positive discount; a system that does not
-    reach that residual (a positive discount rules out singularity for
-    finite rates) raises SingularSystem rather than returning a
-    least-squares answer.
+    stationary policy and a positive finite discount; a system that
+    does not reach that residual (a positive discount rules out
+    singularity for finite rates) raises SingularSystem rather than
+    returning a least-squares answer.
     """
     if policy.mode is not PolicyMode.STATIONARY:
         raise ValueError("evaluation needs a stationary policy")
@@ -305,8 +306,8 @@ def evaluate_stationary_policy(model: CostModel, policy: Policy, r: float) -> np
             f"stationary table has shape {policy.intensities.shape}, "
             f"expected ({model.n_edges},)"
         )
-    if not r > 0.0:
-        raise ValueError(f"discount must be positive, got {r}")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError(f"discount must be positive and finite, got {r}")
     lam = policy.intensities
     b = -model.running_cost_vector(lam)
     rate = model.exit_rates(lam)

@@ -11,7 +11,9 @@ Three related objects live here:
   provided, a vanishing-discount sweep and a direct long-time
   integration, and both finish with a Newton refinement of the ergodic
   system seeded by their own estimate (the refinement rejects any seed
-  it would have to move far, so it cannot mask a bad estimate);
+  it would have to move far, so it cannot mask a bad estimate); their
+  settings, the ladder's rungs down to r_min and the window t_max, are
+  decided and checked here alone;
 * diagnostics of the long-run behaviour: the limit of the sup-gap
   q(t) of the de-drifted flow to the corrector, the finite-horizon
   deviations from given terminal data, and a semigroup evaluator for
@@ -30,14 +32,17 @@ from .errors import NoConvergence, NumericOverflow
 from .krylov import gmres
 from .ode import integrate_grid
 
-# the vanishing-discount sweep's default discounts, 2^-3 down to 2^-20
+# the vanishing-discount sweep's rungs, 2^-3 down to 2^-20; it stops at r_min
 DISCOUNT_LADDER = tuple(2.0 ** -n for n in range(3, 21))
 
-# shortest window the long-time integrations accept
+# shortest and default window of the long-time integrations
 MIN_T_MAX = 10.0
+DEFAULT_T_MAX = 200.0
 
-# tolerances of every long-time integration
+# tolerances of the long-time flows and of semigroup_apply; the drift
+# pre-pass over [0, 20] only centres the flow, and runs looser
 _RTOL, _ATOL = 1e-10, 1e-12
+_PRE_RTOL, _PRE_ATOL = 1e-8, 1e-10
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,8 @@ def solve_stationary(model: CostModel, r: float,
     guess = np.zeros(n) if initial_guess is None else np.array(initial_guess, dtype=float)
     if guess.shape != (n,):
         raise ValueError(f"initial guess has shape {guess.shape}, expected ({n},)")
+    if not np.all(np.isfinite(guess)):
+        raise ValueError("initial guess must be finite")
 
     def newton(rate, x):
         return _damped_newton(lambda y: _stationary_system(model, rate, y), x,
@@ -221,25 +228,25 @@ def _refine_ergodic(model: CostModel, gamma0: float,
 
 def solve_ergodic_vanishing_discount(
     model: CostModel,
-    r_sequence: tuple[float, ...] | None = None,
+    r_min: float = DISCOUNT_LADDER[-1],
     initial_guess: np.ndarray | None = None,
 ) -> ErgodicSolution:
     """Ergodic pair via stationary solves along a vanishing discount sweep.
 
-    Solves the stationary equation along the (decreasing) discount
-    sequence, warm-starting each solve from the previous one, and reads
+    Solves the stationary equation on the rungs of DISCOUNT_LADDER down
+    to r_min (those at least r_min (1 - 1e-12)), warm-starting each
+    solve from the previous one, the first from initial_guess, and reads
     off gamma = r * mean(u) and xi = u - u[0] at the smallest discount.
+    An r_min that leaves fewer than two rungs raises ValueError.
     Each sweep stage contributes a diagnostic row (r, max_i |r u_i -
     gamma|); the sweep counts as converged when the final diagnostic is
     below 1e-6 scaled by the corrector size and the last step shrank it
     geometrically (factor 0.75, with 1e-7 slack). The estimate is then
     Newton-refined onto the ergodic system.
     """
-    rs = DISCOUNT_LADDER if r_sequence is None else tuple(float(r) for r in r_sequence)
+    rs = tuple(r for r in DISCOUNT_LADDER if r >= r_min * (1.0 - 1e-12))
     if len(rs) < 2:
-        raise ValueError("need at least two discounts in the sequence")
-    if any(not (r > 0.0) for r in rs) or any(b >= a for a, b in zip(rs, rs[1:])):
-        raise ValueError("discount sequence must be positive and strictly decreasing")
+        raise ValueError(f"r_min {r_min} leaves fewer than two discounts in the sweep")
 
     u = initial_guess
     values: list[StationaryValue] = []
@@ -282,7 +289,7 @@ def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons,
     """Ergodic pair from the undiscounted flow dz/dt = H(z), z(0) = z0.
 
     The flow lands only on 0, t_max / 4, t_max / 2, t_max and the
-    horizons. A preliminary sweep over [0, 20] supplies a drift gamma0,
+    horizons. A looser pre-pass over [0, 20] supplies a drift gamma0,
     and the flow is integrated as y = z - gamma0 t, which keeps error
     control on the right scale; H reads only differences, so the
     substitution is exact. gamma is the growth of node 0 over the second
@@ -302,7 +309,7 @@ def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons,
     def drifting(_t, y):
         return model.hamiltonian_vector(y)
 
-    pre, _ = integrate_grid(drifting, np.array([0.0, 10.0, 20.0]), z0, 1e-8, 1e-10)
+    pre, _ = integrate_grid(drifting, np.array([0.0, 10.0, 20.0]), z0, _PRE_RTOL, _PRE_ATOL)
     gamma0 = float(pre[2, 0] - pre[1, 0]) / 10.0
 
     def dedrifted(_t, y):
@@ -320,7 +327,7 @@ def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons,
     return grid, gamma, xi, resid, ys + (gamma0 - gamma) * grid[:, None]
 
 
-def solve_ergodic_direct(model: CostModel, t_max: float = 200.0) -> ErgodicSolution:
+def solve_ergodic_direct(model: CostModel, t_max: float = DEFAULT_T_MAX) -> ErgodicSolution:
     """Ergodic pair from one long undiscounted integration.
 
     Integrates the flow from zero terminal data, landing only on 0,
@@ -336,7 +343,7 @@ def solve_ergodic_direct(model: CostModel, t_max: float = 200.0) -> ErgodicSolut
 
 
 def deviation_profile(model: CostModel, payoff: np.ndarray, horizons,
-                      t_max: float = 200.0) -> tuple[float, np.ndarray]:
+                      t_max: float = DEFAULT_T_MAX) -> tuple[float, np.ndarray]:
     """q-limit of the flow from the payoff and each horizon's deviation from it.
 
     One integration from z(0) = payoff (see _ergodic_flow) lands only

@@ -481,6 +481,19 @@ def test_short_window_is_input_error_for_long_time_routes(tmp_path, capsys):
     assert "t_max" in capsys.readouterr().err
 
 
+def test_short_ladder_is_input_error_for_the_sweep(tmp_path, capsys):
+    # the ladder starts at 2^-3, so r_min 0.2 leaves no discount to sweep
+    doc = json.loads(read("problems/ring3.json"))
+    doc["solver"]["r_min"] = 0.2
+    src = tmp_path / "short_ladder.json"
+    src.write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    for method in ("vanishing", "both"):
+        assert main(["ergodic", str(src), out, "--method", method]) == 2
+        assert "r_min" in capsys.readouterr().err
+    assert main(["ergodic", str(src), out, "--method", "direct"]) == 0
+
+
 def test_short_window_accepted_where_unused(tmp_path, capsys):
     src = short_window_file(tmp_path)
     out = str(tmp_path / "out")

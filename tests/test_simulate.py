@@ -1,5 +1,6 @@
 """Exact path sampling, policy evaluation, z-score bookkeeping."""
 
+import importlib
 import math
 
 import numpy as np
@@ -175,14 +176,25 @@ def test_time_varying_policy_grid_checks(symmetric2):
         simulate(problem, backwards, 0, 10, seed=0)
 
 
-def test_simulate_argument_validation(symmetric2):
+def test_simulate_argument_validation(symmetric2, monkeypatch):
+    # the package's simulate function shadows its module of that name
+    sampling = importlib.import_module("ctmcontrol.simulate")
+
+    def no_work(*_args):
+        raise AssertionError("arguments accepted")
+
+    # every case is rejected before the schedule is built; 2^63 paths
+    # would walk about 9e15 empty chunks
+    monkeypatch.setattr(sampling, "_build_schedule", no_work)
     problem = Problem(symmetric2, np.zeros(2), horizon=1.0)
     with pytest.raises(ValueError):
         simulate(problem, unit_policy(), 2, 10, seed=0)
-    with pytest.raises(ValueError):
-        simulate(problem, unit_policy(), 0, 0, seed=0)
-    with pytest.raises(ValueError):
-        simulate(problem, unit_policy(), 0, 10, seed=-1)
+    for n_paths in (0, 1, 10.0, True, 2 ** 53 + 1, 2 ** 60, 2 ** 63):
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate(problem, unit_policy(), 0, n_paths, seed=0)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            simulate(problem, unit_policy(), 0, 10, seed=seed)
     with pytest.raises(ValueError, match=r"2\^128"):
         simulate(problem, unit_policy(), 0, 10, seed=1 << 128)
 
@@ -242,8 +254,9 @@ def test_stationary_evaluation_validation(symmetric2):
                             np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         evaluate_stationary_policy(symmetric2, problem_policy, 0.5)
-    with pytest.raises(ValueError):
-        evaluate_stationary_policy(symmetric2, unit_policy(), 0.0)
+    for r in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            evaluate_stationary_policy(symmetric2, unit_policy(), r)
     with pytest.raises(PolicyGridMismatch):
         evaluate_stationary_policy(symmetric2, Policy(PolicyMode.STATIONARY, np.ones(5)), 0.5)
 

@@ -146,6 +146,9 @@ def test_stationary_rejects_bad_discount(symmetric2):
         solve_stationary(symmetric2, -1.0)
     with pytest.raises(ValueError):
         solve_stationary(symmetric2, 0.5, initial_guess=np.zeros(3))
+    # the residual contract reads false for NaN, so the guess is checked first
+    with pytest.raises(ValueError, match="finite"):
+        solve_stationary(two_node_model(4.0, 1.0), 0.5, np.array([math.nan, 0.0]))
     # below the ladder's floor the relative residual contract certifies
     # nothing: at r = 1e-12 cold Newton stopped after one step at r u = 1.6
     # on this gamma = 2 model
@@ -184,10 +187,10 @@ def test_vanishing_discount_ring():
 
 
 def test_vanishing_discount_rejects_bad_sequence(symmetric2):
-    with pytest.raises(ValueError):
-        solve_ergodic_vanishing_discount(symmetric2, r_sequence=(0.5,))
-    with pytest.raises(ValueError):
-        solve_ergodic_vanishing_discount(symmetric2, r_sequence=(0.25, 0.5))
+    # the ladder starts at 2^-3: r_min 0.2 leaves no rung, 0.125 one
+    for r_min in (0.2, 0.125):
+        with pytest.raises(ValueError, match="r_min"):
+            solve_ergodic_vanishing_discount(symmetric2, r_min)
 
 
 def test_discounted_family_stays_bounded(asymmetric2):
