@@ -165,11 +165,9 @@ def _build_schedule(problem: Problem, policy: Policy) -> _Schedule:
         lam_keys.imag[:, cols] = cumlam
         rate[nodes, :-1] = cumlam[:, :, -1].T
     spans = np.diff(grid)
-    if r == 0.0:
-        pieces = reward[:, :-1] * spans
-    else:
-        decay = np.exp(-r * grid)
-        pieces = reward[:, :-1] * (decay[:-1] - decay[1:]) / r
+    # e^{-r t} over each interval as in _discount_weight; phi(0) = 1 also
+    # takes r = 0, where the pieces are reward * spans bit for bit
+    pieces = reward[:, :-1] * (np.exp(-r * grid[:-1]) * spans * _phi(r * spans))
     cumhaz, cumrew = np.zeros((2, n_nodes, n_int + 1))
     cumhaz[:, 1:] = np.cumsum(rate[:, :-1] * spans, axis=1)
     cumrew[:, 1:] = np.cumsum(pieces, axis=1)
@@ -183,11 +181,21 @@ def _map(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """(1 - e^{-x}) / x through math.expm1, and 1 where x = 0."""
+    return np.divide(-_map(math.expm1, -x), x, out=np.ones_like(x), where=x != 0.0)
+
+
 def _discount_weight(r: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integrals of e^{-r t} over [a, b], exact in both discount regimes."""
+    """Integrals of e^{-r t} over [a, b], as e^{-r a} (b - a) phi(r (b - a)).
+
+    The difference form (e^{-r a} - e^{-r b}) / r would cancel once
+    r (b - a) is small, and read 0 where e^{-r t} rounds to 1; phi
+    through expm1 keeps every digit there, down to subnormal r.
+    """
     if r == 0.0:
         return b - a
-    return (_map(math.exp, -r * a) - _map(math.exp, -r * b)) / r
+    return _map(math.exp, -r * a) * (b - a) * _phi(r * (b - a))
 
 
 def _sample_chunk(problem: Problem, s: _Schedule, start_node: int, seed: int,

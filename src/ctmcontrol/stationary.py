@@ -2,18 +2,15 @@
 
 Three related objects live here:
 
-* the discounted stationary value u solving -r u_i + H(i, u) = 0,
-  found by damped Newton, which restarts from a larger discount and
-  halves it back if it stalls;
-* the ergodic pair (gamma, xi): the linear growth rate of the
-  undiscounted flow and its corrector, normalized so xi[0] = 0, solving
-  -gamma + H(i, (xi_j - xi_i)_j) = 0. Two independent routes are
-  provided, a vanishing-discount sweep and a direct long-time
-  integration, and both finish with a Newton refinement of the ergodic
-  system seeded by their own estimate (the refinement rejects any seed
-  it would have to move far, so it cannot mask a bad estimate); their
-  settings, the ladder's rungs down to r_min and the window t_max, are
-  decided and checked here alone;
+* one system for every discount r >= 0, H(v) - r v - c = 0 in
+  z = (c, v[1:]) with v[0] = 0, solved by damped Newton: for r > 0 its
+  root gives the stationary value u = c / r + v of -r u + H(u) = 0, and
+  at r = 0 the ergodic pair (gamma, xi), the growth rate of the
+  undiscounted flow and its corrector;
+* two independent routes to the ergodic pair, a sweep down the discount
+  ladder to r = 0 and a direct long-time integration whose estimate
+  seeds the r = 0 solve (which rejects a seed it would move far); the
+  ladder's rungs down to r_min and the window t_max are set here alone;
 * diagnostics of the long-run behaviour: the limit of the sup-gap
   q(t) of the de-drifted flow to the corrector, the finite-horizon
   deviations from given terminal data, and a semigroup evaluator for
@@ -49,9 +46,8 @@ _PRE_RTOL, _PRE_ATOL = 1e-8, 1e-10
 class StationaryValue:
     """Solution of the discounted stationary equation at one discount.
 
-    iterations counts the accepted Newton steps over every continuation
-    stage, and krylov_iterations the GMRES iterations of their linear
-    solves.
+    iterations counts the accepted Newton steps of every restart stage,
+    and krylov_iterations the GMRES iterations of their linear solves.
     """
 
     discount: float
@@ -104,60 +100,89 @@ def _damped_newton(system, x: np.ndarray, tol, max_iter: int):
     return x, fnorm, steps, krylov
 
 
-def _stationary_system(model: CostModel, r: float, u: np.ndarray):
-    """Residual F(u) = -r u + H(u), and its Jacobian Q(lam*) - r I as an operator."""
-    lam = model.intensity_vector(u)
+def _pinned(z: np.ndarray) -> np.ndarray:
+    """v = (0, z[1:]): the spread that z = (c, v[1:]) carries."""
+    return np.concatenate([[0.0], z[1:]])
+
+
+def _system(model: CostModel, r: float, z: np.ndarray):
+    """Residual F = H(v) - r v - c in z = (c, v[1:]), v[0] = 0, and its Jacobian.
+
+    H reads only differences, so for u = c / r + v, F = -r u + H(u). v[0]
+    is pinned, so the generator's column 0 is free to carry the
+    derivative in c: the Jacobian is Q(lam*(v)) - r I with column 0
+    replaced by -1, applied as (Q - r I)(0, d[1:]) - d[0] in O(edges).
+    """
+    v = _pinned(z)
+    lam = model.intensity_vector(v)
 
     def apply(d):
-        return model.generator_apply(lam, d) - r * d
+        e = _pinned(d)
+        return model.generator_apply(lam, e) - r * e - d[0]
 
-    return model.hamiltonian_vector(u) - r * u, apply, -model.exit_rates(lam) - r
+    diag = -model.exit_rates(lam) - r
+    diag[0] = -1.0
+    return model.hamiltonian_vector(v) - r * v - z[0], apply, diag
 
 
-def solve_stationary(model: CostModel, r: float,
-                     initial_guess: np.ndarray | None = None) -> StationaryValue:
-    """Solve -r u_i + H(i, (u_j - u_i)_j) = 0 for the stationary value.
-
-    Damped inexact Newton, up to 80 steps, from the initial guess (zero
-    by default). The Jacobian, the generator of the optimal intensities
-    shifted by -r, is strictly diagonally dominant; each step solves
-    with it by GMRES, applying it in O(edges), so no n x n array is
-    built. If Newton stalls, it restarts from the guess at the discount
-    r 2^K with K = max(1, ceil(-log2 r)) and halves the discount back
-    to r, each stage starting from the last one's answer: a larger
-    discount pulls u toward H(u) / r, where Newton converges from
-    farther away. iterations counts every accepted Newton step, and
-    krylov_iterations the GMRES iterations of all of them. The residual
-    is below 1e-10 (1 + |u|), else NoConvergence. That contract is relative, and
-    below the ladder's floor 2^-20 it certifies nothing (u grows like
-    1 / r), so a smaller discount raises ValueError.
-    """
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError(f"discount must be positive and finite, got {r}")
-    if r < DISCOUNT_LADDER[-1]:
-        raise ValueError(f"discount {r} is below the floor {DISCOUNT_LADDER[-1]} (2^-20), "
-                         "where the residual contract certifies nothing")
+def _start(model: CostModel, r: float, initial_guess: np.ndarray | None) -> np.ndarray:
+    """A checked guess g for u (zero by default) as z = (r g[0], g[1:] - g[0])."""
     n = model.n_nodes
     guess = np.zeros(n) if initial_guess is None else np.array(initial_guess, dtype=float)
     if guess.shape != (n,):
         raise ValueError(f"initial guess has shape {guess.shape}, expected ({n},)")
     if not np.all(np.isfinite(guess)):
         raise ValueError("initial guess must be finite")
+    return np.concatenate([[r * guess[0]], guess[1:] - guess[0]])
 
-    def newton(rate, x):
-        return _damped_newton(lambda y: _stationary_system(model, rate, y), x,
+
+def _discounted(model: CostModel, r: float, z0: np.ndarray):
+    """(z, residual, Newton steps, GMRES iterations) at discount r > 0, from z0.
+
+    Newton stops within 1e-12 (1 + |z|), or after 80 steps; a tolerance
+    on the scale of u, which grows like 1 / r, would leave c short of its
+    root at small r. A residual above 1e-10 (1 + |u|) restarts it from z0
+    at the discount r 2^K, K = max(1, ceil(-log2 r)), halved back to r
+    stage by stage from the last answer: at a larger discount Newton
+    converges from farther away. A final miss raises NoConvergence.
+    """
+    def newton(rate, z):
+        return _damped_newton(lambda y: _system(model, rate, y), z,
                               lambda y: 1e-12 * (1.0 + _sup(y)), 80)
 
-    u, fnorm, iterations, krylov = newton(r, guess)
-    if fnorm > 1e-10 * (1.0 + _sup(u)):
-        u = guess
+    def missed(z, fnorm):
+        return fnorm > 1e-10 * (1.0 + _sup(z[0] / r + _pinned(z)))
+
+    z, fnorm, iterations, krylov = newton(r, z0)
+    if missed(z, fnorm):
+        z = z0
         for stage in range(max(1, math.ceil(-math.log2(r))), -1, -1):
-            u, fnorm, steps, its = newton(math.ldexp(r, stage), u)
+            z, fnorm, steps, its = newton(math.ldexp(r, stage), z)
             iterations += steps
             krylov += its
-        if fnorm > 1e-10 * (1.0 + _sup(u)):
+        if missed(z, fnorm):
             raise NoConvergence(f"stationary Newton stalled at discount {r}")
-    return StationaryValue(r, u, fnorm, iterations, krylov)
+    return z, fnorm, iterations, krylov
+
+
+def solve_stationary(model: CostModel, r: float,
+                     initial_guess: np.ndarray | None = None) -> StationaryValue:
+    """Solve -r u_i + H(i, (u_j - u_i)_j) = 0 for the stationary value.
+
+    Solves the system for z = (c, v[1:]) from the initial guess (zero
+    by default), each Newton step by GMRES with no n x n array built,
+    and returns u = c / r + v. The residual is below 1e-10 (1 + |u|),
+    else NoConvergence. That contract is relative, and below the
+    ladder's floor 2^-20 it certifies nothing (u grows like 1 / r), so a
+    smaller discount raises ValueError.
+    """
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError(f"discount must be positive and finite, got {r}")
+    if r < DISCOUNT_LADDER[-1]:
+        raise ValueError(f"discount {r} is below the floor {DISCOUNT_LADDER[-1]} (2^-20), "
+                         "where the residual contract certifies nothing")
+    z, fnorm, iterations, krylov = _discounted(model, r, _start(model, r, initial_guess))
+    return StationaryValue(r, z[0] / r + _pinned(z), fnorm, iterations, krylov)
 
 
 @dataclass(frozen=True)
@@ -165,12 +190,13 @@ class ErgodicSolution:
     """Ergodic constant gamma and corrector xi with xi[0] = 0 exactly.
 
     diagnostics holds per-stage convergence evidence: (discount,
-    max_i |r u_i - gamma|) rows for the vanishing-discount route,
-    (t, q(t)) rows at t = 0, t_max / 4, t_max / 2 and t_max for the
-    direct route. q_infinity is only available from the direct route,
-    and only when its tail has stabilized. non_unique_corrector flags
-    models whose Hamiltonian is not strictly increasing, where xi is
-    meaningful but not unique up to constants.
+    max_i |r u_i - gamma|) rows, one per rung, for the vanishing-discount
+    route (r u = c + r v, against the final gamma), (t, q(t)) rows at
+    t = 0, t_max / 4, t_max / 2 and t_max for the direct route.
+    q_infinity is only available from the direct route, and only when
+    its tail has stabilized. non_unique_corrector flags models whose
+    Hamiltonian is not strictly increasing, where xi is meaningful but
+    not unique up to constants.
     """
 
     gamma: float
@@ -181,43 +207,22 @@ class ErgodicSolution:
     residual: float = float("nan")
 
 
-def _ergodic_system(model: CostModel, z: np.ndarray):
-    """Residual of -gamma + H(i, xi) = 0 and its Jacobian in z = (gamma, xi[1:]).
-
-    xi[0] is pinned to 0, so the generator's column 0 is free to carry
-    the derivative in gamma: the Jacobian is Q with column 0 replaced
-    by -1, applied as Q (0, d[1:]) - d[0] without forming Q.
-    """
-    xi = np.concatenate([[0.0], z[1:]])
-    lam = model.intensity_vector(xi)
-
-    def apply(d):
-        return model.generator_apply(lam, np.concatenate([[0.0], d[1:]])) - d[0]
-
-    diag = -model.exit_rates(lam)
-    diag[0] = -1.0
-    return model.hamiltonian_vector(xi) - z[0], apply, diag
-
-
 def _refine_ergodic(model: CostModel, gamma0: float,
                     xi0: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Newton-polish an ergodic estimate onto the equation.
+    """Solve the system at r = 0, the ergodic equation, from (gamma0, xi0).
 
-    The seed must already be consistent: a polish that moves gamma or
-    xi by more than 1e-3 (1 + |gamma0|) means the estimator had not
-    converged, which is reported as NoConvergence rather than silently
-    accepting the polished root. Without strict monotonicity xi is not
-    unique and the polish may slide along its solution set, so only
-    the move in gamma is checked there.
+    The seed must already be consistent: a solve that moves gamma or xi
+    by more than 1e-3 (1 + |gamma0|) means the estimator had not
+    converged, reported as NoConvergence rather than accepting the root.
+    Without strict monotonicity xi is not unique and may slide along
+    its solution set, so only the move in gamma is checked there.
     """
-    gamma0 = float(gamma0)
-    xi0 = np.asarray(xi0, dtype=float)
     z, fnorm, _, _ = _damped_newton(
-        lambda x: _ergodic_system(model, x), np.concatenate([[gamma0], xi0[1:]]),
+        lambda x: _system(model, 0.0, x), np.concatenate([[gamma0], xi0[1:]]),
         lambda x: 1e-12 * (1.0 + abs(x[0])), 60)
     if fnorm > 1e-8:
         raise NoConvergence(f"ergodic refinement stalled at residual {fnorm}")
-    gamma, xi = float(z[0]), np.concatenate([[0.0], z[1:]])
+    gamma, xi = float(z[0]), _pinned(z)
     moved = max(abs(gamma - gamma0), _sup(xi - xi0) if model.strict_monotone else 0.0)
     if moved > 1e-3 * (1.0 + abs(gamma0)):
         raise NoConvergence(
@@ -231,44 +236,38 @@ def solve_ergodic_vanishing_discount(
     r_min: float = DISCOUNT_LADDER[-1],
     initial_guess: np.ndarray | None = None,
 ) -> ErgodicSolution:
-    """Ergodic pair via stationary solves along a vanishing discount sweep.
+    """Ergodic pair by walking the discount down the ladder to r = 0.
 
-    Solves the stationary equation on the rungs of DISCOUNT_LADDER down
-    to r_min (those at least r_min (1 - 1e-12)), warm-starting each
-    solve from the previous one, the first from initial_guess, and reads
-    off gamma = r * mean(u) and xi = u - u[0] at the smallest discount.
-    An r_min that leaves fewer than two rungs raises ValueError.
-    Each sweep stage contributes a diagnostic row (r, max_i |r u_i -
-    gamma|); the sweep counts as converged when the final diagnostic is
-    below 1e-6 scaled by the corrector size and the last step shrank it
-    geometrically (factor 0.75, with 1e-7 slack). The estimate is then
-    Newton-refined onto the ergodic system.
+    c = r u[0] tends to gamma and v = u - u[0] to xi as r -> 0 (the
+    Laurent expansion u = gamma / r + h + O(r)), so r = 0 is one more
+    rung of the system. The walk solves the rungs of DISCOUNT_LADDER at
+    or above r_min (1 - 1e-12) as solve_stationary does, each from the
+    last, the first from initial_guess, then r = 0 (_refine_ergodic);
+    fewer than two rungs raise ValueError. Rung r gives the row
+    (r, max_i |c + r v_i - gamma|). The sweep counts as converged when
+    the last row is below 1e-6 scaled by the corrector size and shrank
+    geometrically in the last step (factor 0.75, with 1e-7 slack).
     """
     rs = tuple(r for r in DISCOUNT_LADDER if r >= r_min * (1.0 - 1e-12))
     if len(rs) < 2:
         raise ValueError(f"r_min {r_min} leaves fewer than two discounts in the sweep")
 
-    u = initial_guess
-    values: list[StationaryValue] = []
+    z = _start(model, rs[0], initial_guess)
+    walked = []
     for r in rs:
-        sv = solve_stationary(model, r, u)
-        values.append(sv)
-        u = sv.u
-    u_last = values[-1].u
-    gamma_est = rs[-1] * float(np.mean(u_last))
-    xi_est = u_last - u_last[0]
+        z = _discounted(model, r, z)[0]
+        walked.append(z)
+    gamma, xi, resid = _refine_ergodic(model, z[0], _pinned(z))
 
-    diags = np.array([[sv.discount, float(np.max(np.abs(sv.discount * sv.u - gamma_est)))]
-                      for sv in values])
+    diags = np.array([[r, _sup(w[0] + r * _pinned(w) - gamma)] for r, w in zip(rs, walked)])
     d_prev, d_last = diags[-2, 1], diags[-1, 1]
     # the diagnostic decays like r times the corrector spread, so the
     # settledness threshold scales with that spread
-    settle = 1e-6 * (1.0 + float(np.max(np.abs(xi_est))))
+    settle = 1e-6 * (1.0 + _sup(xi))
     if not (d_last <= settle and d_last <= 0.75 * d_prev + 1e-7):
         raise NoConvergence(
             f"vanishing-discount diagnostics not settled: last two are {d_prev:.3e}, {d_last:.3e}"
         )
-    gamma, xi, resid = _refine_ergodic(model, gamma_est, xi_est)
     return ErgodicSolution(gamma, xi, diags, None, not model.strict_monotone, resid)
 
 
@@ -294,9 +293,9 @@ def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons,
     control on the right scale; H reads only differences, so the
     substitution is exact. gamma is the growth of node 0 over the second
     half of [0, t_max], which must be within 1e-6 of its growth over the
-    second quarter, and xi is the spread at t_max; both are
-    Newton-refined. Returns the grid, gamma, xi, the refinement residual
-    and the rows vhat = z - gamma t on the grid.
+    second quarter, and xi is the spread at t_max; both seed the r = 0
+    solve. Returns the grid, gamma, xi, the residual of that solve and
+    the rows vhat = z - gamma t on the grid.
     """
     if not (t_max >= MIN_T_MAX and math.isfinite(t_max)):
         raise ValueError(f"t_max must be at least {MIN_T_MAX:g}, got {t_max}")

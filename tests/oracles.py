@@ -361,21 +361,24 @@ def _node_tables(problem, policy, i):
     reward = -np.sum(model.cost_terms(lam, sl), axis=1)
     spans = np.diff(times)
     r = problem.discount
-    if r == 0.0:
-        pieces = reward * spans
-    else:
-        decay = np.exp(-r * times)
-        pieces = reward * (decay[:-1] - decay[1:]) / r
+    phi = np.array([_phi(x) for x in (r * spans).tolist()])
+    pieces = reward * (np.exp(-r * times[:-1]) * spans * phi)
     return {"times": times, "cumlam": cumlam, "rate": rate, "reward": reward,
             "cumhaz": np.concatenate([[0.0], np.cumsum(rate * spans)]),
             "cumrew": np.concatenate([[0.0], np.cumsum(pieces)]),
             "dst": model.edge_dst[sl]}
 
 
+def _phi(x):
+    """(1 - e^{-x}) / x, and 1 at x = 0."""
+    return -math.expm1(-x) / x if x else 1.0
+
+
 def _weight(r, a, b):
+    """The integral of e^{-r t} over [a, b], as e^{-r a} (b - a) phi(r (b - a))."""
     if r == 0.0:
         return b - a
-    return (math.exp(-r * a) - math.exp(-r * b)) / r
+    return math.exp(-r * a) * (b - a) * _phi(r * (b - a))
 
 
 def _path_value(problem, tables, start, rng):

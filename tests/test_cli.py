@@ -299,7 +299,7 @@ def test_ergodic_survives_overflowing_newton_trial(tmp_path):
 
 def test_ergodic_solves_quadratic_model_with_sliding_corrector(tmp_path):
     # gamma = 0 on this model and its corrector is not unique, so the
-    # polish of either route moves xi by more than 1e-3
+    # r = 0 solve of either route moves xi by more than 1e-3
     model = random_model(np.random.default_rng(28), 3, family="quadratic")
     src = tmp_path / "quadratic3.json"
     src.write_text(serialize_problem_file(Problem(model, np.zeros(3), 1.0)))
@@ -346,6 +346,18 @@ def test_simulate_random_instance_within_three_sigma(tmp_path):
                  "--paths", "4000", "--seed", "1"]) == 0
     doc = json.loads(read(out))
     assert abs(doc["z_score"]) <= 3.0
+
+
+def test_simulate_tiny_discount_keeps_the_rewards(tmp_path):
+    # weights of the form (e^{-ra} - e^{-rb}) / r would read every path
+    # value as 0 at r = 1e-300, and the degenerate sample would exit 5
+    doc = json.loads(read("problems/asymmetric2.json"))
+    doc["discount"] = 1e-300
+    src = tmp_path / "tiny.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", str(src), str(out), "--paths", "3000", "--seed", "7"]) == 0
+    assert json.loads(read(out))["std_error"] > 0.0
 
 
 def test_simulate_rejects_bad_paths(tmp_path, capsys):

@@ -1,11 +1,11 @@
-"""GMRES on the generator systems, against dense solves of the oracle matrices."""
+"""GMRES on the bordered generator systems, against dense solves of the oracle matrices."""
 
 import numpy as np
 
 from ctmcontrol import solve_ergodic_vanishing_discount
 from ctmcontrol.fixtures import random_model
 from ctmcontrol.krylov import gmres
-from ctmcontrol.stationary import _ergodic_system, _stationary_system
+from ctmcontrol.stationary import _system
 
 from conftest import random_models
 from oracles import dense_generator
@@ -36,14 +36,21 @@ def _check_against_dense(jac, apply, diag, b):
     assert _sup(x - ref) <= 2.0 * bound + 1e-15 * _sup(ref)
 
 
+def _bordered_jacobian(model, r, z):
+    """Q(lam*(v)) - r I with column 0 set to -1, for v = (0, z[1:]), densely."""
+    v = np.concatenate([[0.0], z[1:]])
+    jac = dense_generator(model, model.intensity_vector(v)) - r * np.eye(model.n_nodes)
+    jac[:, 0] = -1.0
+    return jac
+
+
 def test_gmres_matches_dense_solve_on_discounted_jacobian():
     for rng, model in random_models(109):
         n = model.n_nodes
-        u = rng.uniform(-1.0, 1.0, size=n)
-        q = dense_generator(model, model.intensity_vector(u))
+        z = rng.uniform(-1.0, 1.0, size=n)
         for r in (0.5, 2.0 ** -20):
-            f, apply, diag = _stationary_system(model, r, u)
-            jac = q - r * np.eye(n)
+            f, apply, diag = _system(model, r, z)
+            jac = _bordered_jacobian(model, r, z)
             assert np.allclose(_dense_jacobian(apply, n), jac, rtol=1e-13, atol=1e-15)
             assert np.allclose(diag, np.diag(jac), rtol=1e-14, atol=0.0)
             _check_against_dense(jac, apply, diag, -f)
@@ -53,9 +60,8 @@ def test_ergodic_system_applies_the_bordered_jacobian():
     for rng, model in random_models(110):
         n = model.n_nodes
         z = rng.uniform(-1.0, 1.0, size=n)
-        _, apply, diag = _ergodic_system(model, z)
-        jac = dense_generator(model, model.intensity_vector(np.concatenate([[0.0], z[1:]])))
-        jac[:, 0] = -1.0
+        _, apply, diag = _system(model, 0.0, z)
+        jac = _bordered_jacobian(model, 0.0, z)
         assert np.allclose(_dense_jacobian(apply, n), jac, rtol=1e-13, atol=1e-15)
         assert np.allclose(diag, np.diag(jac), rtol=1e-14, atol=0.0)
 
@@ -85,7 +91,7 @@ def test_gmres_returns_minimum_residual_on_singular_jacobian():
     sol = solve_ergodic_vanishing_discount(model)
     lam = model.intensity_vector(sol.xi)
     assert np.any(lam == 0.0)
-    _, apply, diag = _ergodic_system(model, np.concatenate([[sol.gamma], sol.xi[1:]]))
+    _, apply, diag = _system(model, 0.0, np.concatenate([[sol.gamma], sol.xi[1:]]))
     jac = _dense_jacobian(apply, 3)
     assert np.linalg.matrix_rank(jac) < 3
     for b in (np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.0, 0.0])):

@@ -26,7 +26,7 @@ from ctmcontrol import (
     solve_finite_horizon,
     solve_stationary,
 )
-from ctmcontrol.stationary import deviation_profile, solve_ergodic_direct
+from ctmcontrol.stationary import DISCOUNT_LADDER, deviation_profile, solve_ergodic_direct
 
 from oracles import cole_hopf
 
@@ -79,6 +79,29 @@ def test_direct_route_matches_cole_hopf(instance):
     # and q does not rise along them by more than 1e-9
     assert sol.diagnostics[:, 0].tolist() == [0.0, 50.0, 100.0, 200.0]
     assert np.max(np.diff(sol.diagnostics[:, 1])) <= 1e-9
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(rings(ENTROPIC))
+def test_vanishing_route_matches_cole_hopf(instance):
+    model, _ = instance
+    gamma, xi, _, _ = cole_hopf(model, np.zeros(model.n_nodes), ())
+    sol = solve_ergodic_vanishing_discount(model)
+    assert abs(sol.gamma - gamma) <= 1e-10
+    assert np.max(np.abs(sol.xi - xi)) <= 1e-10
+    assert sol.diagnostics[:, 0].tolist() == list(DISCOUNT_LADDER)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(rings())
+def test_vanishing_route_solves_the_ergodic_equation(instance):
+    model, _ = instance
+    sol = solve_ergodic_vanishing_discount(model)
+    gamma, xi = sol.gamma, sol.xi
+    assert np.max(np.abs(model.hamiltonian_vector(xi) - gamma)) <= 1e-8 * (1.0 + abs(gamma))
+    # the last row passes the sweep's own settle test
+    d_prev, d_last = sol.diagnostics[-2:, 1]
+    assert d_last <= 1e-6 * (1.0 + np.max(np.abs(xi))) and d_last <= 0.75 * d_prev + 1e-7
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)

@@ -67,6 +67,22 @@ def test_frozen_chain_pays_discounted_terminal():
         estimate_value_gap(report, expected + 1.0)
 
 
+def test_tiny_discounts_keep_the_undiscounted_path_values(asymmetric2):
+    # e^{-rt} >= 1 - r t, and every reward of this model has one sign, so
+    # a path's value moves by at most r T |v| from its r = 0 value, where
+    # weights of the form (e^{-ra} - e^{-rb}) / r would cancel, and read 0
+    # at r = 1e-300
+    undiscounted = Problem(asymmetric2, np.zeros(2), horizon=1.0)
+    policy = extract_policy(undiscounted, solve_finite_horizon(undiscounted))
+    base = simulate(undiscounted, policy, 0, 20_000, seed=3).path_values
+    size = np.max(np.abs(base))
+    assert size > 0.1
+    for r in (1e-12, 1e-14, 1e-300, 5e-324):
+        problem = Problem(asymmetric2, np.zeros(2), horizon=1.0, discount=r)
+        values = simulate(problem, policy, 0, 20_000, seed=3).path_values
+        assert np.max(np.abs(values - base)) <= r * 1.0 * size + 4.0 * np.spacing(size), r
+
+
 def test_simulation_is_reproducible(asymmetric2):
     problem = Problem(asymmetric2, np.array([0.0, 1.0]), horizon=1.0)
     a = simulate(problem, unit_policy(), 0, 500, seed=9)

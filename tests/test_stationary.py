@@ -154,6 +154,11 @@ def test_stationary_rejects_bad_discount(symmetric2):
     # on this gamma = 2 model
     with pytest.raises(ValueError, match="floor"):
         solve_stationary(two_node_model(scale_12=4.0), 1e-12)
+    # the sweep checks its first rung's guess the same way
+    with pytest.raises(ValueError, match="finite"):
+        solve_ergodic_vanishing_discount(symmetric2, initial_guess=np.array([0.0, math.nan]))
+    with pytest.raises(ValueError, match="shape"):
+        solve_ergodic_vanishing_discount(symmetric2, initial_guess=np.zeros(3))
 
 
 # ergodic pair, vanishing-discount route
@@ -253,8 +258,10 @@ def test_corrector_independent_of_newton_seed():
 
 
 def test_quadratic_routes_accept_sliding_corrector():
-    # gamma = 0 and every lam* is nearly 0 at the root, so xi is not unique
-    # and the polish moves it by more than 1e-3 while gamma stays put
+    # gamma = 0 and every lam* is nearly 0 at the root, so xi is not unique:
+    # the r = 0 solve moves it by 1.3e-2 and 1.7e-2 from the direct route's
+    # estimate, and by 7.7e-4 and 1.1e-3 from the sweep's last rung, while
+    # gamma stays put
     for seed in (3, 28):
         model = random_model(np.random.default_rng(seed), 3, family="quadratic")
         sweep = solve_ergodic_vanishing_discount(model)
