@@ -19,9 +19,12 @@ flag records for the model as a whole.
 
 Each conjugate and each maximizer is written once, in place on one
 family's edges. A kernel call gathers slope plus shift into a
-family-major layout of the edges (entropic first, then quadratic),
-runs each family's formula on its contiguous slice and gathers the
-terms back into the flat edge order, where node sums are taken. An
+family-major layout of the edges (entropic first, then quadratic)
+and runs each family's formula on its contiguous slice. The
+Hamiltonian sums the terms where they lie: one np.bincount over
+each edge's source node adds a node's terms from 0.0, left to right,
+its entropic edges first and then its quadratic ones, each in flat
+order. Only the maximizers go back into the flat edge order. An
 entropic slope plus shift above 709 would overflow exp, so it raises
 NumericOverflow instead.
 """
@@ -98,10 +101,9 @@ def _family_major(model: CostModel, idx: np.ndarray) -> _Layout:
 def _edge_terms(layout: _Layout, maximizer: bool, q: np.ndarray) -> np.ndarray:
     """Edge conjugates, or maximizers, from q = slope + shift in the layout.
 
-    q, (..., edges), is overwritten: a exp(q) on the entropic edges,
-    (a / 2) max(q, 0)^2 or a max(q, 0) on the quadratic ones. The terms
-    come back in flat order, C-contiguous; callers do not keep q, so a
-    (K, edges) q is freed once it is reordered.
+    q, (..., edges), is overwritten and returned, still in the layout:
+    a exp(q) on the entropic edges, (a / 2) max(q, 0)^2 or a max(q, 0)
+    on the quadratic ones.
     """
     ne = layout.n_entropic
     if ne:
@@ -115,12 +117,14 @@ def _edge_terms(layout: _Layout, maximizer: bool, q: np.ndarray) -> np.ndarray:
         if not maximizer:
             np.square(quad, out=quad)
     q *= layout.maximizer_scale if maximizer else layout.conjugate_scale
-    ent = quad = None  # views that would keep q alive while it is reordered
+    return q
+
+
+def _flat_order(layout: _Layout, terms: np.ndarray) -> np.ndarray:
+    """Terms in the layout, (..., edges), back in flat order, C-contiguous."""
     if layout.inverse is not None:
-        if q.ndim == 1:
-            return q[layout.inverse]
-        q = q.T[layout.inverse].T
-    return np.ascontiguousarray(q)
+        terms = terms[layout.inverse] if terms.ndim == 1 else terms.T[layout.inverse].T
+    return np.ascontiguousarray(terms)
 
 
 class CostModel:
@@ -163,14 +167,22 @@ class CostModel:
     def node_slice(self, i: int) -> slice:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
-    def _node_sum(self, terms: np.ndarray) -> np.ndarray:
+    def _node_sum(self, terms: np.ndarray, src: np.ndarray | None = None) -> np.ndarray:
         """Sums of per-edge terms over each node's outgoing edges.
 
-        Maps (..., n_edges) to (..., n_nodes). Every node has an
-        outgoing edge (the graph is strongly connected), so no segment
-        is empty.
+        Maps (..., n_edges) to (..., n_nodes); term k leaves node src[k],
+        by default edge_src, the flat order. One np.bincount over
+        src + row * n_nodes, rows flattened, adds each node's terms from
+        0.0, left to right, so a row of a batch sums to the same bits as
+        that row alone.
         """
-        return np.add.reduceat(terms, self.offsets[:-1], axis=-1)
+        src = self.edge_src if src is None else src
+        terms = np.asarray(terms)
+        n, lead = self.n_nodes, terms.shape[:-1]
+        rows = math.prod(lead)
+        if lead:
+            src = (src + n * np.arange(rows)[:, None]).reshape(-1)
+        return np.bincount(src, terms.reshape(-1), minlength=n * rows).reshape(lead + (n,))
 
     # vectorized kernels over flat edge arrays; shapes broadcast over
     # leading axes so a whole trajectory of slopes can be mapped at once
@@ -212,11 +224,13 @@ class CostModel:
 
     def hamiltonian_vector(self, values: np.ndarray) -> np.ndarray:
         """All node Hamiltonians H(i, (V_j - V_i)_j) at once."""
-        return self._node_sum(_edge_terms(self._layout, False, self._shifted_slopes(values)))
+        layout = self._layout
+        return self._node_sum(_edge_terms(layout, False, self._shifted_slopes(values)), layout.src)
 
     def intensity_vector(self, values: np.ndarray) -> np.ndarray:
         """Flat per-edge optimal intensities at the given value vector."""
-        return _edge_terms(self._layout, True, self._shifted_slopes(values))
+        layout = self._layout
+        return _flat_order(layout, _edge_terms(layout, True, self._shifted_slopes(values)))
 
     def running_cost_vector(self, lam_flat: np.ndarray) -> np.ndarray:
         """Per-node running costs L(i, lam(i, .)) from flat intensities."""
@@ -259,7 +273,7 @@ def _node_edge_terms(model: CostModel, i: int, p, maximizer: bool) -> np.ndarray
     arr = _node_array(model, i, p, "slope vector")
     layout = _family_major(model, np.arange(model.offsets[i], model.offsets[i + 1]))
     q = arr if layout.order is None else arr[layout.order]
-    return _edge_terms(layout, maximizer, q + layout.shift)
+    return _flat_order(layout, _edge_terms(layout, maximizer, q + layout.shift))
 
 
 def hamiltonian(model: CostModel, i: int, p) -> float:

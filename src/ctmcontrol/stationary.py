@@ -102,7 +102,9 @@ def _damped_newton(system, x: np.ndarray, tol, max_iter: int):
 
 def _pinned(z: np.ndarray) -> np.ndarray:
     """v = (0, z[1:]): the spread that z = (c, v[1:]) carries."""
-    return np.concatenate([[0.0], z[1:]])
+    v = z.copy()
+    v[0] = 0.0
+    return v
 
 
 def _system(model: CostModel, r: float, z: np.ndarray):

@@ -3,7 +3,8 @@
 These routes cross-check the library: a lambda-grid maximizer that
 never touches the closed-form conjugates, the closed forms evaluated
 on every edge in both families and picked per edge by np.where beside
-the family-major kernels, a fixed-step classical RK4 backward march
+the family-major kernels, node sums added one Python float at a time
+in the kernels' order, a fixed-step classical RK4 backward march
 that never touches the adaptive integrator, the Dormand-Prince driver
 as first written (fresh arrays for every step, stages as
 y + h * (a @ k)) beside the lean one, a scalar bisection for the
@@ -64,6 +65,26 @@ def where_edge_terms(model, p, edges=slice(None)):
     ent = scale * np.exp(np.where(entropic, q, 0.0))
     conj = np.where(entropic, ent, 0.5 * scale * np.square(np.maximum(q, 0.0)))
     return conj, np.where(entropic, ent, scale * np.maximum(q, 0.0))
+
+
+def family_major_node_sums(model, terms):
+    """Node sums of flat edge terms (..., edges), in the kernels' order.
+
+    Adds each node's terms from 0.0, left to right: first its entropic
+    edges, then its quadratic ones, each in flat order, one Python
+    float at a time.
+    """
+    terms = np.asarray(terms, dtype=float)
+    out = np.empty(terms.shape[:-1] + (model.n_nodes,))
+    for i in range(model.n_nodes):
+        own = range(model.offsets[i], model.offsets[i + 1])
+        order = [k for k in own if model.entropic[k]] + [k for k in own if not model.entropic[k]]
+        for row in np.ndindex(terms.shape[:-1]):
+            total = 0.0
+            for k in order:
+                total += float(terms[row + (k,)])
+            out[row + (i,)] = total
+    return out
 
 
 def rk4_backward(problem, n_steps=1000):

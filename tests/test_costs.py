@@ -21,7 +21,7 @@ from ctmcontrol import costs, errors, finite_horizon, stationary
 from ctmcontrol.fixtures import random_model
 
 from conftest import random_models, same_bits, two_node_model
-from oracles import dense_generator, grid_max_hamiltonian, where_edge_terms
+from oracles import dense_generator, family_major_node_sums, grid_max_hamiltonian, where_edge_terms
 
 
 def fan_model(edge_costs):
@@ -227,9 +227,8 @@ def test_maximizer_is_gradient_of_hamiltonian():
 
 
 def test_family_kernels_match_where_oracle_bit_for_bit():
-    # the last model has nodes of out-degree 16 and more, whose long
-    # segments reduceat sums in an order of its own, so the terms must
-    # reach it in the flat order
+    # the last model has nodes of out-degree 16 and more, whose sums
+    # move in their last bits under any other order than the kernels'
     wide = random_model(np.random.default_rng(112), 24, extra_edge_prob=0.9, family="mixed")
     assert np.max(np.diff(wide.offsets)) >= 16
     for rng, model in [*random_models(109), (np.random.default_rng(113), wide)]:
@@ -242,8 +241,7 @@ def test_family_kernels_match_where_oracle_bit_for_bit():
             values = rng.uniform(-3.0, 3.0, size=shape)
             slopes = values[..., model.edge_dst] - values[..., model.edge_src]
             conj, lam = where_edge_terms(model, slopes)
-            ham = np.add.reduceat(conj, model.offsets[:-1], axis=-1)
-            assert same_bits(model.hamiltonian_vector(values), ham)
+            assert same_bits(model.hamiltonian_vector(values), family_major_node_sums(model, conj))
             assert same_bits(model.intensity_vector(values), lam)
             assert same_bits(model.slopes(values), slopes)
         for i in range(n):
@@ -300,6 +298,39 @@ def test_node_sum_matches_edge_loop():
             sl = model.node_slice(i)
             expected = [hamiltonian(model, i, p[sl]) for p in slopes.reshape(-1, e)]
             assert ham[..., i].reshape(-1) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+def ring_with_one_chord(rng, n):
+    """Ring plus at most one chord per node, families mixed: out-degree 1 or 2."""
+    edges = {(i, (i + 1) % n) for i in range(n)} | {(i, int(rng.integers(n))) for i in range(n)}
+    edges = sorted((i, j) for i, j in edges if i != j)
+    return CostModel(build_graph(n, edges), {
+        e: EdgeCost(CostFamily(rng.choice(["entropic", "quadratic"])),
+                    rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5))
+        for e in edges})
+
+
+def test_batch_node_sums_match_row_sums_bit_for_bit():
+    # the residual's row blocks and semigroup_apply's batch rely on each
+    # row of a batch summing to the bits of that row alone
+    rng = np.random.default_rng(114)
+    low = [(rng, ring_with_one_chord(rng, n)) for n in (2, 10, 40, 200)]
+    assert all(np.max(np.diff(m.offsets)) == 2 for _, m in low[1:])
+    for rng, model in [*random_models(114), *low]:
+        n, e = model.n_nodes, model.n_edges
+        for lead in ((6,), (3, 2)):
+            values = rng.uniform(-3.0, 3.0, size=lead + (n,))
+            terms = rng.uniform(-5.0, 5.0, size=lead + (e,))
+            ham, sums = model.hamiltonian_vector(values), model._node_sum(terms)
+            for row in np.ndindex(lead):
+                assert same_bits(ham[row], model.hamiltonian_vector(values[row]))
+                assert same_bits(sums[row], model._node_sum(terms[row]))
+            if np.max(np.diff(model.offsets)) <= 2:
+                # one or two terms add to the same bits in any order, so the
+                # flat-order segment sums of np.add.reduceat agree too
+                conj, _ = where_edge_terms(model, model.slopes(values))
+                assert same_bits(ham, np.add.reduceat(conj, model.offsets[:-1], axis=-1))
+                assert same_bits(sums, np.add.reduceat(terms, model.offsets[:-1], axis=-1))
 
 
 def test_generator_apply_matches_dense_oracle():
