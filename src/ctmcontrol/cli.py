@@ -96,7 +96,12 @@ def _solve(path: str):
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write the header line, then one line per row, each as it is formatted."""
+    """Write the header line, then one line per row, each as it is formatted.
+
+    Rows are formatted one at a time, so callers hand over a generator
+    of rows; a row of Python floats (ndarray.tolist) formats faster than
+    one of numpy scalars.
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         handle.writelines(",".join(map(format_number, row)) + "\n" for row in rows)
@@ -105,7 +110,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def cmd_solve(args) -> int:
     problem, traj = _solve(args.problem)
     header = ["t"] + [f"V_{i + 1}" for i in range(problem.costs.n_nodes)]
-    _write_csv(args.output, header, ((t, *v) for t, v in zip(traj.grid, traj.values)))
+    _write_csv(args.output, header,
+               ([t] + v.tolist() for t, v in zip(traj.grid.tolist(), traj.values)))
     summary = {
         "value_at_0": list(traj.values[0]),
         "max_residual": traj.max_residual,
@@ -124,7 +130,7 @@ def cmd_policy(args) -> int:
         for e in range(model.n_edges)
     ]
     _write_csv(args.output, header,
-               ((t, *lam) for t, lam in zip(policy.grid, policy.intensities)))
+               ([t] + lam.tolist() for t, lam in zip(policy.grid.tolist(), policy.intensities)))
     return EXIT_OK
 
 

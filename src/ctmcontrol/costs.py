@@ -17,16 +17,21 @@ Entropic edges make the Hamiltonian strictly increasing in each slope;
 quadratic edges are flat below -b, which is what the strict_monotone
 flag records for the model as a whole.
 
-Each conjugate and each maximizer is written once, in place on one
-family's edges. A kernel call gathers slope plus shift into a
-family-major layout of the edges (entropic first, then quadratic)
-and runs each family's formula on its contiguous slice. The
-Hamiltonian sums the terms where they lie: one np.bincount over
-each edge's source node adds a node's terms from 0.0, left to right,
-its entropic edges first and then its quadratic ones, each in flat
-order. Only the maximizers go back into the flat edge order. An
-entropic slope plus shift above 709 would overflow exp, so it raises
-NumericOverflow instead.
+Each conjugate and each maximizer is written once, in _edge_kernel,
+which CostModel builds on first use into one closure per kernel, with
+a family-major layout of the edges (entropic first, then quadratic)
+bound as locals. A call gathers V[dst] - V[src] + shift into the
+layout, edge-major, and runs each family's formula in place on its
+contiguous slice: exp on the entropic edges, max(q, 0) and its square
+on the quadratic ones, then the scale. The Hamiltonian sums the terms
+where they lie: one np.bincount over each edge's source node adds a
+node's terms from 0.0, left to right, its entropic edges first and
+then its quadratic ones, each in flat order, so a row of a batch has
+the bits of that row alone. Only the maximizers go back into the flat
+edge order. An entropic slope plus shift above 709 would overflow exp,
+so it raises NumericOverflow instead; the check is one np.fmax.reduce,
+which skips NaN, so a NaN slope never raises and cannot hide an
+overflowing one.
 """
 
 from __future__ import annotations
@@ -98,33 +103,71 @@ def _family_major(model: CostModel, idx: np.ndarray) -> _Layout:
                    n_entropic, np.concatenate([a[:n_entropic], 0.5 * a[n_entropic:]]), a)
 
 
-def _edge_terms(layout: _Layout, maximizer: bool, q: np.ndarray) -> np.ndarray:
-    """Edge conjugates, or maximizers, from q = slope + shift in the layout.
+def _node_sums(terms: np.ndarray, src: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Sums of edge terms (..., edges) over each edge's source node src[k].
 
-    q, (..., edges), is overwritten and returned, still in the layout:
-    a exp(q) on the entropic edges, (a / 2) max(q, 0)^2 or a max(q, 0)
-    on the quadratic ones.
+    One np.bincount over src + row * n_nodes, rows flattened, adds each
+    node's terms from 0.0, left to right, so a row of a batch sums to
+    the same bits as that row alone.
     """
-    ne = layout.n_entropic
-    if ne:
-        ent = q[..., :ne]
-        if np.count_nonzero(ent > _EXP_LIMIT):
-            raise NumericOverflow(f"exp({float(np.max(ent))}) overflows in entropic edge kernel")
-        np.exp(ent, out=ent)
-    if ne < q.shape[-1]:
-        quad = q[..., ne:]
-        np.maximum(quad, 0.0, out=quad)
-        if not maximizer:
-            np.square(quad, out=quad)
-    q *= layout.maximizer_scale if maximizer else layout.conjugate_scale
-    return q
+    lead = terms.shape[:-1]
+    rows = math.prod(lead)
+    if lead:
+        src = (src + n_nodes * np.arange(rows)[:, None]).reshape(-1)
+    return np.bincount(src, terms.reshape(-1), minlength=n_nodes * rows).reshape(lead + (n_nodes,))
 
 
-def _flat_order(layout: _Layout, terms: np.ndarray) -> np.ndarray:
-    """Terms in the layout, (..., edges), back in flat order, C-contiguous."""
-    if layout.inverse is not None:
-        terms = terms[layout.inverse] if terms.ndim == 1 else terms.T[layout.inverse].T
-    return np.ascontiguousarray(terms)
+def _edge_kernel(layout: _Layout, n_nodes: int, maximizer: bool, node_sums: bool):
+    """The edge conjugates, or maximizers, of the layout as one closure of values.
+
+    The closure maps float values V, (n_nodes,) or (..., n_nodes), to
+    a exp(q) on the entropic edges and (a / 2) max(q, 0)^2, or
+    a max(q, 0), on the quadratic ones, at q = V[dst] - V[src] + shift:
+    their node sums (..., n_nodes) if node_sums, else the terms in flat
+    edge order, (..., edges). q is edge-major, (edges,) or (edges,
+    rows), so each family's slice is contiguous in either shape, and
+    rows of V.T gather as fast as V[idx] on 1-D values. The layout's
+    arrays are bound here, so a call on 1-D values is one Python frame.
+    """
+    dst, src, shift, ne, inverse = (layout.dst, layout.src, layout.shift,
+                                    layout.n_entropic, layout.inverse)
+    scale = layout.maximizer_scale if maximizer else layout.conjugate_scale
+    n_edges = dst.shape[0]
+    # numpy's functions bound as locals too: the 1-D call is the DP5 stage's inner loop
+    fmax, exp, maximum, square = np.fmax.reduce, np.exp, np.maximum, np.square
+    bincount = np.bincount
+
+    def kernel(values: np.ndarray) -> np.ndarray:
+        batch = values.ndim > 1
+        if batch:
+            lead = values.shape[:-1]
+            values = values.reshape(-1, n_nodes).T
+        q = values[dst]
+        q -= values[src]
+        # a batch's q is (edges, rows), so per-edge arrays broadcast along q.T
+        qt = q.T
+        qt += shift
+        ent = q[:ne]
+        if ent.size:
+            top = fmax(ent, None)
+            if top > _EXP_LIMIT:
+                raise NumericOverflow(f"exp({float(top)}) overflows in entropic edge kernel")
+            exp(ent, out=ent)
+        quad = q[ne:]
+        if quad.size:
+            maximum(quad, 0.0, out=quad)
+            if not maximizer:
+                square(quad, out=quad)
+        qt *= scale
+        if node_sums:
+            if batch:
+                return _node_sums(q.T, src, n_nodes).reshape(lead + (n_nodes,))
+            return bincount(src, q, minlength=n_nodes)
+        if inverse is not None:
+            q = q[inverse]
+        return np.ascontiguousarray(q.T).reshape(lead + (n_edges,)) if batch else q
+
+    return kernel
 
 
 class CostModel:
@@ -167,22 +210,9 @@ class CostModel:
     def node_slice(self, i: int) -> slice:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
-    def _node_sum(self, terms: np.ndarray, src: np.ndarray | None = None) -> np.ndarray:
-        """Sums of per-edge terms over each node's outgoing edges.
-
-        Maps (..., n_edges) to (..., n_nodes); term k leaves node src[k],
-        by default edge_src, the flat order. One np.bincount over
-        src + row * n_nodes, rows flattened, adds each node's terms from
-        0.0, left to right, so a row of a batch sums to the same bits as
-        that row alone.
-        """
-        src = self.edge_src if src is None else src
-        terms = np.asarray(terms)
-        n, lead = self.n_nodes, terms.shape[:-1]
-        rows = math.prod(lead)
-        if lead:
-            src = (src + n * np.arange(rows)[:, None]).reshape(-1)
-        return np.bincount(src, terms.reshape(-1), minlength=n * rows).reshape(lead + (n,))
+    def _node_sum(self, terms: np.ndarray) -> np.ndarray:
+        """Sums of flat per-edge terms (..., n_edges) over each node's outgoing edges."""
+        return _node_sums(np.asarray(terms), self.edge_src, self.n_nodes)
 
     # vectorized kernels over flat edge arrays; shapes broadcast over
     # leading axes so a whole trajectory of slopes can be mapped at once
@@ -209,28 +239,19 @@ class CostModel:
         vt = np.asarray(values, dtype=float).T
         return (vt[self.edge_dst] - vt[self.edge_src]).T
 
-    def _shifted_slopes(self, values: np.ndarray) -> np.ndarray:
-        """V[dst] - V[src] + shift on every edge, in the layout, from rows of V.T.
+    @functools.cached_property
+    def hamiltonian_vector(self):
+        """All node Hamiltonians H(i, (V_j - V_i)_j) at once, from float values V.
 
-        Rows of V.T gather as fast as V[idx] on 1-D values (V[..., idx]
-        costs 1 us more) and twice as fast as take(axis=-1) on (257, n).
+        A closure of V, (..., n_nodes), built into the instance on first
+        use (see _edge_kernel); callers look it up on the model.
         """
-        layout, vt = self._layout, np.asarray(values, dtype=float).T
-        q = vt[layout.dst]
-        q -= vt[layout.src]
-        q = q.T
-        q += layout.shift
-        return q
+        return _edge_kernel(self._layout, self.n_nodes, maximizer=False, node_sums=True)
 
-    def hamiltonian_vector(self, values: np.ndarray) -> np.ndarray:
-        """All node Hamiltonians H(i, (V_j - V_i)_j) at once."""
-        layout = self._layout
-        return self._node_sum(_edge_terms(layout, False, self._shifted_slopes(values)), layout.src)
-
-    def intensity_vector(self, values: np.ndarray) -> np.ndarray:
-        """Flat per-edge optimal intensities at the given value vector."""
-        layout = self._layout
-        return _flat_order(layout, _edge_terms(layout, True, self._shifted_slopes(values)))
+    @functools.cached_property
+    def intensity_vector(self):
+        """Flat per-edge optimal intensities at float values V, as hamiltonian_vector."""
+        return _edge_kernel(self._layout, self.n_nodes, maximizer=True, node_sums=False)
 
     def running_cost_vector(self, lam_flat: np.ndarray) -> np.ndarray:
         """Per-node running costs L(i, lam(i, .)) from flat intensities."""
@@ -269,11 +290,19 @@ def cost(model: CostModel, i: int, lambdas) -> float:
 
 
 def _node_edge_terms(model: CostModel, i: int, p, maximizer: bool) -> np.ndarray:
-    """Conjugates, or maximizers, of node i's outgoing edges at slopes p."""
+    """Conjugates, or maximizers, of node i's outgoing edges at slopes p.
+
+    The kernel runs on node i's star: node i is node 0 with value 0.0
+    and its j-th target is node j + 1 with value p_j, so each slope
+    reads p_j - 0.0, which is p_j.
+    """
     arr = _node_array(model, i, p, "slope vector")
     layout = _family_major(model, np.arange(model.offsets[i], model.offsets[i + 1]))
-    q = arr if layout.order is None else arr[layout.order]
-    return _flat_order(layout, _edge_terms(layout, maximizer, q + layout.shift))
+    local = np.arange(1, arr.shape[0] + 1)
+    star = layout._replace(dst=local if layout.order is None else local[layout.order],
+                           src=np.zeros_like(local))
+    kernel = _edge_kernel(star, arr.shape[0] + 1, maximizer, node_sums=False)
+    return kernel(np.concatenate([[0.0], arr]))
 
 
 def hamiltonian(model: CostModel, i: int, p) -> float:

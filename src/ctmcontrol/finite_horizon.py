@@ -122,10 +122,10 @@ def solve_finite_horizon(problem: Problem, rtol: float = DEFAULT_RTOL,
     r = problem.discount
     grid = output_grid(problem.horizon)
 
-    def rhs(_s, w):
-        dw = model.hamiltonian_vector(w)
-        dw -= r * w
-        return dw
+    def rhs(_s, w, out):
+        # H(w) - r w, with r w formed in out first
+        np.multiply(w, r, out=out)
+        np.subtract(model.hamiltonian_vector(w), out, out=out)
 
     values, stats = integrate_grid(rhs, grid, problem.terminal_payoff, rtol, atol)
     _reverse_rows(values)

@@ -6,7 +6,9 @@ embedded error estimate is below one, step factor err**-0.17 damped by
 the previous error to the 0.04). One driver, integrate_grid, lands
 steps exactly on every requested grid point, so recorded values carry
 no interpolation error; a caller that wants only the final state passes
-the grid [t0, t_end] and reads the last row.
+the grid [t0, t_end] and reads the last row. The right-hand side is
+called as f(t, y, out) and writes y' into out, which is the stage's own
+row of the integrator's stage array, so a stage makes no copy.
 
 Grid landing clamps the proposed step, never the controller's memory,
 so step statistics still reflect genuine error control. A step below
@@ -74,7 +76,8 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol) -> float:
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         h0 = min(h0, span)
         y1 = y0 + h0 * f0
-        f1 = f(t0 + h0, y1)
+        f1 = np.empty_like(f0)
+        f(t0 + h0, y1, f1)
         if not np.all(np.isfinite(f1)):
             return span * 1e-3
         d2 = float(np.sqrt(np.mean(np.square((f1 - f0) / scale)))) / h0
@@ -91,8 +94,10 @@ def integrate_grid(f: Callable, grid: np.ndarray, y0: np.ndarray,
                    rtol: float, atol: float) -> tuple[np.ndarray, StepStats]:
     """Integrate y' = f(t, y) along an increasing grid, landing on every point.
 
-    Returns an array of shape (len(grid), len(y0)); row 0 is y0 itself,
-    bitwise, and the last row is y(grid[-1]).
+    f(t, y, out) writes f(t, y) into out, an array shaped like y0 that
+    it may not keep, and returns nothing. Returns an array of shape
+    (len(grid), len(y0)); row 0 is y0 itself, bitwise, and the last row
+    is y(grid[-1]).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] < 2 or np.any(np.diff(grid) <= 0.0):
@@ -108,11 +113,12 @@ def integrate_grid(f: Callable, grid: np.ndarray, y0: np.ndarray,
     span = points[-1] - t
     floor = 1e-14 * span
     # the stages k, with k[0] = f(t, y) handed on from the last accepted
-    # step (first same as last), and the work arrays every step reuses;
-    # y and y5, and |y| and |y5|, swap when a step is accepted
+    # step (first same as last), each written by f into its own row, and
+    # the work arrays every step reuses; y and y5, and |y| and |y5|, swap
+    # when a step is accepted
     k = np.empty((7, n))
-    k[0] = f(t, y)
-    stages = [(s, _A[s], k[:s], _C[s]) for s in range(1, 6)]
+    f(t, y, k[0])
+    stages = [(_A[s], k[:s], _C[s], k[s]) for s in range(1, 6)]
     a6, k6, k_last = _A[6], k[:6], k[6]
     ys, err, scale = np.empty(n), np.empty(n), np.empty(n)
     y5, abs_y, abs_y5 = np.empty(n), np.abs(y), np.empty(n)
@@ -142,15 +148,15 @@ def integrate_grid(f: Callable, grid: np.ndarray, y0: np.ndarray,
                     raise NoConvergence(f"step budget of {_MAX_STEPS} exhausted at t = {t}")
                 # one Dormand-Prince trial step; y + h (a . k) is evaluated
                 # as written, in place, since folding h into a changes bits
-                for s, a, ks, c in stages:
+                for a, ks, c, row in stages:
                     a.dot(ks, out=ys)
                     ys *= h
                     ys += y
-                    k[s] = f(t + c * h, ys)
+                    f(t + c * h, ys, row)
                 a6.dot(k6, out=y5)
                 y5 *= h
                 y5 += y
-                k_last[...] = f(t + h, y5)
+                f(t + h, y5, k_last)
                 np.abs(y5, out=abs_y5)
                 # a non-finite err shows in the norm, but an infinite y5 can
                 # give the finite norm 0 through an infinite scale

@@ -307,14 +307,14 @@ def _ergodic_flow(model: CostModel, z0: np.ndarray, horizons,
     if not (grid[0] == 0.0 and grid[-1] < math.inf):  # np.sort puts NaN last
         raise ValueError(f"horizons must be finite and nonnegative, got {horizons}")
 
-    def drifting(_t, y):
-        return model.hamiltonian_vector(y)
+    def drifting(_t, y, out):
+        out[...] = model.hamiltonian_vector(y)
 
     pre, _ = integrate_grid(drifting, np.array([0.0, 10.0, 20.0]), z0, _PRE_RTOL, _PRE_ATOL)
     gamma0 = float(pre[2, 0] - pre[1, 0]) / 10.0
 
-    def dedrifted(_t, y):
-        return model.hamiltonian_vector(y) - gamma0
+    def dedrifted(_t, y, out):
+        np.subtract(model.hamiltonian_vector(y), gamma0, out=out)
 
     ys, _ = integrate_grid(dedrifted, grid, z0, _RTOL, _ATOL)
     quarter, mid, end = np.searchsorted(grid, (0.25 * t_max, 0.5 * t_max, t_max))
@@ -383,9 +383,8 @@ def semigroup_apply(model: CostModel, gamma: float, y: np.ndarray, t: float,
     if t == 0.0:
         return y.copy()
 
-    def rhs(_t, z):
-        flat = model.hamiltonian_vector(z.reshape(y.shape)) - gamma
-        return flat.reshape(-1)
+    def rhs(_t, z, out):
+        np.subtract(model.hamiltonian_vector(z.reshape(y.shape)), gamma, out=out.reshape(y.shape))
 
     rows, _ = integrate_grid(rhs, (0.0, t), y.reshape(-1), rtol, atol)
     return rows[-1].reshape(y.shape)

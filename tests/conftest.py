@@ -45,6 +45,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def into(fn):
+    """fn(t, y), which returns y', as the integrator's f(t, y, out), which writes it into out."""
+    def f(t, y, out):
+        out[...] = fn(t, y)
+    return f
+
+
 def random_models(seed):
     """Strongly connected random models: every family, n from 2 to 40."""
     rng = np.random.default_rng(seed)

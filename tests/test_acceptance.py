@@ -27,7 +27,7 @@ from ctmcontrol import (
 from ctmcontrol.ode import integrate_grid
 from ctmcontrol.fixtures import random_model
 
-from conftest import two_node_model
+from conftest import into, two_node_model
 from oracles import rk4_backward
 
 LOG2 = math.log(2.0)
@@ -116,7 +116,7 @@ def test_criterion_05_q_monotone_convergence():
         def flow(_t, z, model=model, gamma=sol.gamma):
             return model.hamiltonian_vector(z) - gamma
 
-        rows, _ = integrate_grid(flow, grid, g, 1e-10, 1e-12)
+        rows, _ = integrate_grid(into(flow), grid, g, 1e-10, 1e-12)
         q = np.max(rows - sol.xi, axis=1)
         worst_rise = max(worst_rise, float(np.max(np.diff(q))))
         # settled: q moves by less than 1e-6 from t_max / 2 (index 800) on

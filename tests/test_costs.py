@@ -268,11 +268,32 @@ def test_family_kernels_overflow_guard_and_empty_input():
     assert hamiltonian(mixed, 1, [710.0]) == 0.5 * 710.0 ** 2
     # NaN is not an overflow
     assert np.all(np.isnan(mixed.intensity_vector(np.array([np.nan, 0.0]))))
+    # a NaN slope beside an overflowing one hides nothing, in one state or a
+    # batch row, and all-NaN entropic slopes do not raise
+    wide = CostModel(build_graph(3, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0)]), {
+        (0, 1): EdgeCost(CostFamily.ENTROPIC, 1.0),
+        (0, 2): EdgeCost(CostFamily.ENTROPIC, 1.0),
+        (1, 0): EdgeCost(CostFamily.QUADRATIC, 1.0),
+        (1, 2): EdgeCost(CostFamily.ENTROPIC, 1.0),
+        (2, 0): EdgeCost(CostFamily.ENTROPIC, 1.0),
+    })
+    overflowing = np.array([0.0, 800.0, np.nan])
+    batch = np.zeros((4, 3))
+    batch[2] = overflowing
+    for kernel in (wide.hamiltonian_vector, wide.intensity_vector):
+        for values in (overflowing, batch):
+            with pytest.raises(NumericOverflow):
+                kernel(values)
+        assert np.all(np.isnan(kernel(np.full(3, np.nan))))
+    with pytest.raises(NumericOverflow):
+        hamiltonian(wide, 0, [800.0, np.nan])
     # no rows in, no rows out
     assert mixed.intensity_vector(np.zeros((0, 2))).shape == (0, 2)
     assert mixed.hamiltonian_vector(np.zeros((0, 2))).shape == (0, 2)
     for rng, model in random_models(110):
-        assert model.intensity_vector(np.zeros((0, model.n_nodes))).shape == (0, model.n_edges)
+        n = model.n_nodes
+        assert model.intensity_vector(np.zeros((0, n))).shape == (0, model.n_edges)
+        assert model.hamiltonian_vector(np.zeros((0, n))).shape == (0, n)
 
 
 # node sums and the generator operator on random strongly connected graphs
